@@ -20,6 +20,11 @@ use nbody_physics::{Boundary, Domain, ForceLaw, Particle};
 /// cross pairs minus the skipped same-id pairs. This count is the unit of
 /// "computation" in the paper's cost model (`F = n²` total for all-pairs,
 /// `F = nk` with a cutoff) and the basis of the FLOP accounting.
+///
+/// Laws with an [`inverse_square`](ForceLaw::inverse_square) form under a
+/// non-periodic boundary run four targets at a time on AVX2 CPUs; every
+/// target still sums its sources in slice order with the scalar law's
+/// exact operations, so the forces are bit-identical to the scalar loop.
 pub fn accumulate_block<F: ForceLaw>(
     targets: &mut [Particle],
     sources: &[Particle],
@@ -27,8 +32,8 @@ pub fn accumulate_block<F: ForceLaw>(
     domain: &Domain,
     boundary: Boundary,
 ) -> u64 {
-    let mut skipped: u64 = 0;
-    for t in targets.iter_mut() {
+    let (done, mut skipped) = accumulate_lanes(targets, sources, law, boundary);
+    for t in targets[done..].iter_mut() {
         let mut acc = t.force;
         for s in sources {
             if t.id == s.id {
@@ -43,6 +48,129 @@ pub fn accumulate_block<F: ForceLaw>(
     (targets.len() as u64)
         .saturating_mul(sources.len() as u64)
         .saturating_sub(skipped)
+}
+
+/// The vector path of [`accumulate_block`]: accumulates a prefix of
+/// `targets` and returns its length with the same-id pairs it skipped.
+/// `(0, 0)` when the law, boundary, or CPU does not qualify.
+#[cfg(target_arch = "x86_64")]
+fn accumulate_lanes<F: ForceLaw>(
+    targets: &mut [Particle],
+    sources: &[Particle],
+    law: &F,
+    boundary: Boundary,
+) -> (usize, u64) {
+    match law.inverse_square() {
+        Some(form) if boundary != Boundary::Periodic && is_x86_feature_detected!("avx2") => {
+            let done = targets.len() - targets.len() % avx2::LANES;
+            // SAFETY: AVX2 support was detected at runtime just above.
+            let skipped = unsafe { avx2::accumulate(&mut targets[..done], sources, form) };
+            (done, skipped)
+        }
+        _ => (0, 0),
+    }
+}
+
+#[cfg(not(target_arch = "x86_64"))]
+fn accumulate_lanes<F: ForceLaw>(
+    _targets: &mut [Particle],
+    _sources: &[Particle],
+    _law: &F,
+    _boundary: Boundary,
+) -> (usize, u64) {
+    (0, 0)
+}
+
+/// The inverse-square law across four targets per AVX2 register. Each lane
+/// replays the scalar law's operations one by one — separate multiplies
+/// and adds (no FMA), IEEE divides and square roots, and blends in place
+/// of its branches — so it rounds exactly as the scalar loop does.
+#[cfg(target_arch = "x86_64")]
+mod avx2 {
+    use std::arch::x86_64::*;
+
+    use nbody_physics::{InverseSquare, Particle};
+
+    /// Targets per register.
+    pub(super) const LANES: usize = 4;
+
+    /// Accumulate the force of every source on every target, four targets
+    /// at a time; any remainder past the last full group of four is left
+    /// untouched. Returns the number of skipped same-id pairs.
+    ///
+    /// # Safety
+    ///
+    /// The CPU must support AVX2.
+    #[target_feature(enable = "avx2")]
+    pub(super) unsafe fn accumulate(
+        targets: &mut [Particle],
+        sources: &[Particle],
+        form: InverseSquare,
+    ) -> u64 {
+        let zero = _mm256_setzero_pd();
+        // Flipping the sign bit is exact: `(-u)·mag` for a repulsive law.
+        let sign = _mm256_set1_pd(if form.repulsive { -0.0 } else { 0.0 });
+        let eps2 = _mm256_set1_pd(form.softening * form.softening);
+        let k = _mm256_set1_pd(form.k);
+        let mut skipped = _mm256_setzero_si256();
+        for t in targets.chunks_exact_mut(LANES) {
+            let lane =
+                |f: fn(&Particle) -> f64| _mm256_set_pd(f(&t[3]), f(&t[2]), f(&t[1]), f(&t[0]));
+            let tx = lane(|p| p.pos.x);
+            let ty = lane(|p| p.pos.y);
+            let ktm = _mm256_mul_pd(k, lane(|p| p.mass));
+            let mut fx = lane(|p| p.force.x);
+            let mut fy = lane(|p| p.force.y);
+            let tid = _mm256_set_epi64x(
+                t[3].id as i64,
+                t[2].id as i64,
+                t[1].id as i64,
+                t[0].id as i64,
+            );
+            for s in sources {
+                let dx = _mm256_sub_pd(_mm256_set1_pd(s.pos.x), tx);
+                let dy = _mm256_sub_pd(_mm256_set1_pd(s.pos.y), ty);
+                let nsq = _mm256_add_pd(_mm256_mul_pd(dx, dx), _mm256_mul_pd(dy, dy));
+                let r2 = _mm256_add_pd(nsq, eps2);
+                let mag = _mm256_div_pd(_mm256_mul_pd(ktm, _mm256_set1_pd(s.mass)), r2);
+                let n = _mm256_sqrt_pd(nsq);
+                // `Vec2::normalized`: the zero vector has no direction.
+                let n_zero = _mm256_cmp_pd::<_CMP_EQ_OQ>(n, zero);
+                let ux = _mm256_blendv_pd(_mm256_div_pd(dx, n), zero, n_zero);
+                let uy = _mm256_blendv_pd(_mm256_div_pd(dy, n), zero, n_zero);
+                let ux = _mm256_xor_pd(ux, sign);
+                let uy = _mm256_xor_pd(uy, sign);
+                // The law returns `+0` outright when `r2 == 0`.
+                let r2_zero = _mm256_cmp_pd::<_CMP_EQ_OQ>(r2, zero);
+                let px = _mm256_blendv_pd(_mm256_mul_pd(ux, mag), zero, r2_zero);
+                let py = _mm256_blendv_pd(_mm256_mul_pd(uy, mag), zero, r2_zero);
+                // Same-id pairs are skipped, not added as `+0`: that would
+                // turn a `-0` accumulator into `+0`.
+                let same = _mm256_cmpeq_epi64(tid, _mm256_set1_epi64x(s.id as i64));
+                let keep = _mm256_castsi256_pd(same);
+                fx = _mm256_blendv_pd(_mm256_add_pd(fx, px), fx, keep);
+                fy = _mm256_blendv_pd(_mm256_add_pd(fy, py), fy, keep);
+                // `same` lanes are all ones, i.e. -1: subtracting counts them.
+                skipped = _mm256_sub_epi64(skipped, same);
+            }
+            // SAFETY: `__m256d` and `[f64; 4]` have the same size, and every
+            // bit pattern is a valid `f64`.
+            let (fx, fy) = unsafe {
+                (
+                    std::mem::transmute::<__m256d, [f64; LANES]>(fx),
+                    std::mem::transmute::<__m256d, [f64; LANES]>(fy),
+                )
+            };
+            for (p, (x, y)) in t.iter_mut().zip(fx.into_iter().zip(fy)) {
+                p.force.x = x;
+                p.force.y = y;
+            }
+        }
+        // SAFETY: `__m256i` and `[u64; 4]` have the same size, and every bit
+        // pattern is a valid `u64`.
+        let skipped = unsafe { std::mem::transmute::<__m256i, [u64; LANES]>(skipped) };
+        skipped.iter().sum()
+    }
 }
 
 /// [`accumulate_block`], additionally harvesting the summed pair potential

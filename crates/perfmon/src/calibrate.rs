@@ -3,10 +3,12 @@
 //! Two seedable microbenchmarks, deliberately matched to the force
 //! kernel's character:
 //!
-//! * **Scalar FMA peak** — dependent chains of `mul_add` across a handful
-//!   of independent accumulators, the instruction mix of the inner force
-//!   loop without SIMD (the kernels are scalar today; when ROADMAP item 2
-//!   vectorizes them, this ceiling is the honest "before" bar).
+//! * **Multiply-add peak** — independent chains of a separate multiply
+//!   and add (`a = a·x + y`), four `f64` lanes wide under the
+//!   same runtime AVX2 dispatch the force kernel uses (scalar chains
+//!   elsewhere). The kernel is built without FMA contraction, so this is
+//!   the instruction mix it can reach; no fused `mul_add`, which compiles
+//!   to a library call without the `fma` target feature.
 //! * **Stream bandwidth** — a large out-of-cache buffer copy, counting
 //!   read + write traffic, the classic STREAM-style bound for the
 //!   memory-bound side of the roofline.
@@ -22,18 +24,22 @@ use std::time::Instant;
 
 use nbody_trace::Json;
 
-/// Independent FMA accumulator lanes; enough to hide the FMA latency on
-/// any contemporary core without spilling registers.
-const LANES: usize = 8;
+/// Independent multiply-add chains; enough to hide the multiply and add
+/// latencies on any contemporary core without spilling registers.
+const CHAINS: usize = 8;
+
+/// `f64` lanes per chain: one AVX2 register, the force kernel's width.
+const LANES: usize = 4;
 
 /// Parameters of one calibration run.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct CalibrationConfig {
     /// Seed for the deterministic initial values.
     pub seed: u64,
-    /// Iterations of the FMA loop (each iteration does `LANES` fused
-    /// multiply-adds, i.e. `2 * LANES` FLOPs).
-    pub fma_iters: u64,
+    /// Iterations of the multiply-add loop (each iteration advances every
+    /// chain by one multiply and one add on each lane, i.e.
+    /// `2 * CHAINS * LANES` FLOPs).
+    pub madd_iters: u64,
     /// Size of each streaming buffer in MiB (two are allocated).
     pub stream_mib: usize,
     /// Timed repeats; the best (fastest) repeat is kept.
@@ -46,7 +52,7 @@ impl CalibrationConfig {
     pub fn quick() -> CalibrationConfig {
         CalibrationConfig {
             seed: 42,
-            fma_iters: 2_000_000,
+            madd_iters: 2_000_000,
             stream_mib: 8,
             repeats: 3,
         }
@@ -57,7 +63,7 @@ impl CalibrationConfig {
     pub fn full() -> CalibrationConfig {
         CalibrationConfig {
             seed: 42,
-            fma_iters: 32_000_000,
+            madd_iters: 32_000_000,
             stream_mib: 64,
             repeats: 5,
         }
@@ -74,14 +80,14 @@ impl Default for CalibrationConfig {
 /// them.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct MachineCalibration {
-    /// Scalar FMA peak in GFLOP/s (FLOPs per nanosecond).
+    /// Multiply-add peak in GFLOP/s (FLOPs per nanosecond).
     pub peak_gflops: f64,
     /// Streaming memory bandwidth in GB/s (bytes per nanosecond).
     pub mem_bw_gbytes: f64,
     /// Seed the measurement ran with.
     pub seed: u64,
-    /// FMA iterations of the measurement.
-    pub fma_iters: u64,
+    /// Multiply-add iterations of the measurement.
+    pub madd_iters: u64,
     /// Bytes of one streaming buffer.
     pub stream_bytes: u64,
 }
@@ -90,10 +96,10 @@ impl MachineCalibration {
     /// Run both microbenchmarks.
     pub fn measure(cfg: &CalibrationConfig) -> MachineCalibration {
         MachineCalibration {
-            peak_gflops: fma_peak_gflops(cfg),
+            peak_gflops: madd_peak_gflops(cfg),
             mem_bw_gbytes: stream_bandwidth_gbytes(cfg),
             seed: cfg.seed,
-            fma_iters: cfg.fma_iters,
+            madd_iters: cfg.madd_iters,
             stream_bytes: (cfg.stream_mib as u64) << 20,
         }
     }
@@ -104,7 +110,7 @@ impl MachineCalibration {
             ("peak_gflops".to_string(), Json::Num(self.peak_gflops)),
             ("mem_bw_gbytes".to_string(), Json::Num(self.mem_bw_gbytes)),
             ("seed".to_string(), Json::Num(self.seed as f64)),
-            ("fma_iters".to_string(), Json::Num(self.fma_iters as f64)),
+            ("madd_iters".to_string(), Json::Num(self.madd_iters as f64)),
             (
                 "stream_bytes".to_string(),
                 Json::Num(self.stream_bytes as f64),
@@ -132,7 +138,7 @@ impl MachineCalibration {
             peak_gflops,
             mem_bw_gbytes,
             seed: num("seed").unwrap_or(0.0) as u64,
-            fma_iters: num("fma_iters").unwrap_or(0.0) as u64,
+            madd_iters: num("madd_iters").unwrap_or(0.0) as u64,
             stream_bytes: num("stream_bytes").unwrap_or(0.0) as u64,
         })
     }
@@ -153,32 +159,79 @@ fn unit_f64(state: &mut u64) -> f64 {
     1.0 + (splitmix64(state) >> 11) as f64 / (1u64 << 53) as f64
 }
 
-fn fma_peak_gflops(cfg: &CalibrationConfig) -> f64 {
+fn madd_peak_gflops(cfg: &CalibrationConfig) -> f64 {
     let mut state = cfg.seed;
-    // x slightly below 1 and a small positive y keep every accumulator
-    // converging toward y/(1-x) ~ 1: no overflow, no denormals, and the
-    // compiler cannot fold the loop because the values are data-dependent.
-    let x = 0.999_999_9_f64;
-    let y = 1e-7_f64;
     let mut best_nanos = u64::MAX;
     for _ in 0..cfg.repeats.max(1) {
-        let mut acc = [0.0f64; LANES];
-        for a in &mut acc {
+        let mut acc = [[0.0f64; LANES]; CHAINS];
+        for a in acc.iter_mut().flatten() {
             *a = unit_f64(&mut state);
         }
         let start = Instant::now();
-        for _ in 0..cfg.fma_iters {
-            for a in &mut acc {
-                *a = a.mul_add(x, y);
-            }
-        }
+        let acc = madd_chains(acc, cfg.madd_iters);
         let nanos = start.elapsed().as_nanos() as u64;
         black_box(acc);
         best_nanos = best_nanos.min(nanos.max(1));
     }
-    // mul_add is one multiply + one add.
-    let flops = cfg.fma_iters * LANES as u64 * 2;
+    // One multiply + one add per lane per chain per iteration.
+    let flops = cfg.madd_iters * (CHAINS * LANES) as u64 * 2;
     flops as f64 / best_nanos as f64
+}
+
+/// Advance every chain `iters` times by `a = a·x + y`. `x` slightly below
+/// 1 and a small positive `y` keep every value converging toward
+/// `y/(1-x) ~ 1`: no overflow, no denormals, and the compiler cannot fold
+/// the loop because the values are data-dependent.
+fn madd_chains(mut acc: [[f64; LANES]; CHAINS], iters: u64) -> [[f64; LANES]; CHAINS] {
+    #[cfg(target_arch = "x86_64")]
+    if is_x86_feature_detected!("avx2") {
+        // SAFETY: AVX2 support was detected at runtime just above.
+        return unsafe { avx2::madd_chains(acc, iters) };
+    }
+    let (x, y) = (black_box(MADD_X), black_box(MADD_Y));
+    for _ in 0..iters {
+        for a in acc.iter_mut().flatten() {
+            *a = *a * x + y;
+        }
+    }
+    acc
+}
+
+const MADD_X: f64 = 0.999_999_9;
+const MADD_Y: f64 = 1e-7;
+
+#[cfg(target_arch = "x86_64")]
+mod avx2 {
+    use std::arch::x86_64::*;
+    use std::hint::black_box;
+
+    use super::{CHAINS, LANES, MADD_X, MADD_Y};
+
+    /// [`super::madd_chains`] with one AVX2 register per chain: a separate
+    /// `vmulpd` and `vaddpd` per step, as in the force kernel.
+    ///
+    /// # Safety
+    ///
+    /// The CPU must support AVX2.
+    #[target_feature(enable = "avx2")]
+    pub(super) unsafe fn madd_chains(
+        acc: [[f64; LANES]; CHAINS],
+        iters: u64,
+    ) -> [[f64; LANES]; CHAINS] {
+        let x = _mm256_set1_pd(black_box(MADD_X));
+        let y = _mm256_set1_pd(black_box(MADD_Y));
+        // SAFETY: `[f64; 4]` and `__m256d` have the same size, and every
+        // bit pattern is valid for both.
+        let mut v =
+            unsafe { std::mem::transmute::<[[f64; LANES]; CHAINS], [__m256d; CHAINS]>(acc) };
+        for _ in 0..iters {
+            for a in &mut v {
+                *a = _mm256_add_pd(_mm256_mul_pd(*a, x), y);
+            }
+        }
+        // SAFETY: as above.
+        unsafe { std::mem::transmute::<[__m256d; CHAINS], [[f64; LANES]; CHAINS]>(v) }
+    }
 }
 
 fn stream_bandwidth_gbytes(cfg: &CalibrationConfig) -> f64 {
@@ -206,7 +259,7 @@ mod tests {
     fn tiny() -> CalibrationConfig {
         CalibrationConfig {
             seed: 7,
-            fma_iters: 50_000,
+            madd_iters: 50_000,
             stream_mib: 1,
             repeats: 2,
         }
@@ -227,7 +280,7 @@ mod tests {
             peak_gflops: 3.5,
             mem_bw_gbytes: 12.25,
             seed: 42,
-            fma_iters: 1000,
+            madd_iters: 1000,
             stream_bytes: 1 << 20,
         };
         let doc = Json::parse(&cal.to_json().to_string()).unwrap();

@@ -317,7 +317,7 @@ mod tests {
             peak_gflops: 4.0,
             mem_bw_gbytes: 1.0,
             seed: 0,
-            fma_iters: 0,
+            madd_iters: 0,
             stream_bytes: 0,
         }
     }

@@ -51,6 +51,32 @@ pub trait ForceLaw: Sync {
     fn flops_per_interaction(&self) -> u64 {
         20
     }
+
+    /// The law as an [`InverseSquare`] form, if its `force` is exactly that
+    /// form's op sequence. A block kernel that recognises the form may
+    /// evaluate several pairs at once with the same operations, rounding
+    /// every pair bit-identically to `force`. `None` (the default) keeps
+    /// the law on the generic per-pair path.
+    ///
+    /// Wrappers such as [`Cutoff`] must not forward their inner law's form:
+    /// a kernel that took it would silently drop the wrapper's behaviour.
+    fn inverse_square(&self) -> Option<InverseSquare> {
+        None
+    }
+}
+
+/// The shared form of [`RepulsiveInverseSquare`] and [`Gravity`]: per pair,
+/// `d = disp`, `r2 = (dx·dx + dy·dy) + ε·ε`, `mag = ((k·m_t)·m_s) / r2`,
+/// `u = d / |d|` (zero when `|d| = 0`), and the force is `u·mag` toward the
+/// source, or `(−u)·mag` away from it; zero when `r2 = 0`.
+#[derive(Debug, Clone, Copy, PartialEq)]
+pub struct InverseSquare {
+    /// Force constant (`strength` or `g`).
+    pub k: f64,
+    /// Plummer softening length.
+    pub softening: f64,
+    /// Whether the force pushes the target away from the source.
+    pub repulsive: bool,
 }
 
 /// The paper's force: repulsion with inverse-square falloff,
@@ -101,6 +127,14 @@ impl ForceLaw for RepulsiveInverseSquare {
     fn flops_per_interaction(&self) -> u64 {
         20
     }
+
+    fn inverse_square(&self) -> Option<InverseSquare> {
+        Some(InverseSquare {
+            k: self.strength,
+            softening: self.softening,
+            repulsive: true,
+        })
+    }
 }
 
 /// Newtonian gravity with Plummer softening, `F = G m_i m_j / (r^2 + eps^2)`
@@ -145,6 +179,14 @@ impl ForceLaw for Gravity {
     // Same operation mix as the repulsive law, opposite sign.
     fn flops_per_interaction(&self) -> u64 {
         20
+    }
+
+    fn inverse_square(&self) -> Option<InverseSquare> {
+        Some(InverseSquare {
+            k: self.g,
+            softening: self.softening,
+            repulsive: false,
+        })
     }
 }
 

@@ -28,7 +28,9 @@ pub mod reference;
 pub mod vec2;
 
 pub use domain::{Boundary, Domain};
-pub use force::{Counting, Cutoff, ForceLaw, Gravity, LennardJones, RepulsiveInverseSquare};
+pub use force::{
+    Counting, Cutoff, ForceLaw, Gravity, InverseSquare, LennardJones, RepulsiveInverseSquare,
+};
 pub use force_ext::{ShiftedForce, Yukawa};
 pub use integrator::{ExplicitEuler, Integrator, SemiImplicitEuler, VelocityVerlet};
 pub use particle::{Particle, PARTICLE_WIRE_BYTES};

@@ -58,9 +58,9 @@
 //! `--roofline-out` and gated by `--roofline-baseline` (fails if the best
 //! rank falls below the recorded floor minus its tolerance).
 //!
-//! `calibrate` measures the machine ceilings the roofline uses (scalar
-//! FMA peak, stream bandwidth) with seedable microbenchmarks and writes
-//! them as JSON (`--full` for the long, checked-in variant).
+//! `calibrate` measures the machine ceilings the roofline uses
+//! (multiply-add peak, stream bandwidth) with seedable microbenchmarks and
+//! writes them as JSON (`--full` for the long, checked-in variant).
 //!
 //! `--serve-metrics=<addr>` starts a dependency-free HTTP endpoint
 //! serving the Prometheus exposition of the run's metrics at
@@ -177,8 +177,8 @@ use nbody_perfmon::{
     MetricsServer, RooflineGate, RooflineReport,
 };
 use nbody_physics::{
-    diagnostics, init, Boundary, Cutoff, Domain, ForceLaw, Gravity, LennardJones, Particle,
-    RepulsiveInverseSquare, SemiImplicitEuler, Vec2, PARTICLE_WIRE_BYTES,
+    diagnostics, init, Boundary, Cutoff, Domain, ForceLaw, Gravity, InverseSquare, LennardJones,
+    Particle, RepulsiveInverseSquare, SemiImplicitEuler, Vec2, PARTICLE_WIRE_BYTES,
 };
 use nbody_trace::{ExecutionTrace, Json, ALL_PHASES};
 
@@ -303,6 +303,16 @@ impl ForceLaw for AnyLaw {
 
     fn is_symmetric(&self) -> bool {
         true
+    }
+
+    // Only the bare laws: a cutoff variant forwarding its inner form would
+    // let the kernel drop the cutoff.
+    fn inverse_square(&self) -> Option<InverseSquare> {
+        match self {
+            AnyLaw::Repulsive(l) => l.inverse_square(),
+            AnyLaw::Gravity(l) => l.inverse_square(),
+            AnyLaw::Lj(_) | AnyLaw::RepulsiveCutoff(_) | AnyLaw::GravityCutoff(_) => None,
+        }
     }
 
     fn flops_per_interaction(&self) -> u64 {
@@ -1493,10 +1503,9 @@ fn calibrate_cmd(opts: &HashMap<String, String>) -> ExitCode {
     };
     cfg.seed = get(opts, "seed", cfg.seed);
     println!(
-        "calibrating ({}): {} FMA iters x {} lanes, {} MiB stream, best of {}",
+        "calibrating ({}): {} multiply-add iters, {} MiB stream, best of {}",
         if full { "full" } else { "quick" },
-        cfg.fma_iters,
-        8,
+        cfg.madd_iters,
         cfg.stream_mib,
         cfg.repeats
     );
@@ -1504,7 +1513,7 @@ fn calibrate_cmd(opts: &HashMap<String, String>) -> ExitCode {
     let cal = MachineCalibration::measure(&cfg);
     let elapsed = start.elapsed();
     println!(
-        "  scalar FMA peak {:.3} GFLOP/s, stream bandwidth {:.3} GB/s ({elapsed:.2?})",
+        "  multiply-add peak {:.3} GFLOP/s, stream bandwidth {:.3} GB/s ({elapsed:.2?})",
         cal.peak_gflops, cal.mem_bw_gbytes
     );
     if let Some(path) = opts.get("out") {
@@ -2976,5 +2985,28 @@ fn regress_cmd(opts: &HashMap<String, String>, positional: &[String]) -> ExitCod
         ExitCode::FAILURE
     } else {
         ExitCode::SUCCESS
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    #[test]
+    fn any_law_forwards_inverse_square_for_bare_laws_only() {
+        let rep = RepulsiveInverseSquare::default();
+        let grav = Gravity::default();
+        let rep_form = rep.inverse_square();
+        let grav_form = grav.inverse_square();
+        assert!(rep_form.is_some() && grav_form.is_some());
+        assert_eq!(AnyLaw::Repulsive(rep).inverse_square(), rep_form);
+        assert_eq!(AnyLaw::Gravity(grav).inverse_square(), grav_form);
+        for law in [
+            AnyLaw::Lj(Cutoff::new(LennardJones::default(), 0.1)),
+            AnyLaw::RepulsiveCutoff(Cutoff::new(rep, 0.1)),
+            AnyLaw::GravityCutoff(Cutoff::new(grav, 0.1)),
+        ] {
+            assert_eq!(law.inverse_square(), None);
+        }
     }
 }
