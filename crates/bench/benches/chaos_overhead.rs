@@ -14,8 +14,8 @@
 //!   (the per-message cost of deadline arithmetic on the hot path).
 
 use ca_nbody::dist::id_block_subset;
-use ca_nbody::recovery::{ca_all_pairs_forces_ft, RetryPolicy};
-use ca_nbody::{ca_all_pairs_forces, GridComms, ProcGrid};
+use ca_nbody::recovery::RetryPolicy;
+use ca_nbody::{ca_all_pairs_forces, ca_all_pairs_forces_ft, GridComms, ProcGrid};
 use criterion::{black_box, criterion_group, criterion_main, Criterion};
 use nbody_comm::{run_ranks, run_ranks_chaos, Communicator, FaultPlan};
 use nbody_physics::{init, Boundary, Domain, Particle, RepulsiveInverseSquare};
@@ -74,6 +74,7 @@ fn bench_eval_chaos_empty(c: &mut Criterion) {
                     Boundary::Reflective,
                     &RetryPolicy::default(),
                     0,
+                    None,
                 )
                 .expect("no faults scheduled");
                 st.len()

@@ -14,8 +14,8 @@
 //! non-finite sentinel scans.
 
 use ca_nbody::dist::id_block_subset;
-use ca_nbody::recovery::{ca_all_pairs_forces_ft_health, HealthMonitor, RetryPolicy};
-use ca_nbody::{GridComms, ProcGrid};
+use ca_nbody::recovery::{HealthMonitor, RetryPolicy};
+use ca_nbody::{ca_all_pairs_forces_ft, GridComms, ProcGrid};
 use criterion::{black_box, criterion_group, criterion_main, Criterion};
 use nbody_comm::{run_ranks_silent, Communicator};
 use nbody_physics::{init, Boundary, Domain, Particle, RepulsiveInverseSquare};
@@ -46,7 +46,7 @@ fn eval_ft<C2: Communicator>(
         Vec::new()
     };
     let policy = RetryPolicy::with_timeout_ms(1000);
-    ca_all_pairs_forces_ft_health(
+    ca_all_pairs_forces_ft(
         &gc,
         &mut st,
         &law(),

@@ -23,11 +23,14 @@
 //! Setting `c = 1` degenerates to Plimpton's particle decomposition
 //! (a ring pipeline); `c = √p` to his force decomposition.
 
-use nbody_comm::{Communicator, Phase};
+use nbody_comm::{CommError, Communicator, Phase};
 use nbody_physics::{Boundary, Domain, ForceLaw, Particle};
 
 use crate::grid::GridComms;
-use crate::kernel::{accumulate_block, combine_forces, ComputeMeter};
+use crate::kernel::{accumulate_block_harvest, ComputeMeter};
+use crate::recovery::{
+    recovery_loop, Attempt, FaultError, HealthMonitor, RecoveryReport, RetryPolicy,
+};
 
 /// Tag for the skew message (line 4).
 pub const TAG_SKEW: u64 = 0x10;
@@ -50,60 +53,107 @@ pub fn ca_all_pairs_forces<C: Communicator, F: ForceLaw>(
     domain: &Domain,
     boundary: Boundary,
 ) {
-    let teams = gc.grid.teams();
-    let c = gc.grid.c();
-    let steps = gc.grid.all_pairs_steps();
-    let team = gc.team();
-    let k = gc.row_index();
-    debug_assert!(gc.is_leader() || st.is_empty(), "only leaders contribute particles");
-
-    // Line 2: broadcast the team subset down the column.
-    gc.col.set_phase(Phase::Broadcast);
-    gc.col.bcast(0, st);
-
-    // Line 3: copy to the exchange buffer.
-    let mut exch = st.clone();
+    gc.bcast_team(st);
     // The paper's M = cn/p replicated working set: the owned block plus the
     // exchange copy, the memory the Eq. 2 bounds are evaluated against.
     gc.col
         .metrics()
-        .gauge_max("mem_particles_hwm", (st.len() + exch.len()) as u64);
+        .gauge_max("mem_particles_hwm", (2 * st.len()) as u64);
+    shift_pass(gc, st, law, domain, boundary, Attempt::BLOCKING)
+        .expect("a blocking pass has no recoverable failure");
+    gc.reduce_team(st);
+}
 
+/// Fault-tolerant [`ca_all_pairs_forces`]: identical result (bit-for-bit,
+/// even across recoveries), but the same shift pass runs with
+/// deadline-bounded receives inside the recovery protocol of
+/// [`crate::recovery`].
+///
+/// `epoch` must be unique per force evaluation on one execution (the
+/// timestep index): it namespaces message tags so traffic from an aborted
+/// attempt can never satisfy a later evaluation's receive. With `health`,
+/// the kernel harvests the summed pair potential (returned with the
+/// report: the rank's potential-energy partial, counting each unordered
+/// pair twice globally) and every attempt starts with the replica
+/// fingerprint cross-check; without it the potential is 0.
+#[allow(clippy::too_many_arguments)]
+pub fn ca_all_pairs_forces_ft<C: Communicator, F: ForceLaw>(
+    gc: &GridComms<C>,
+    st: &mut Vec<Particle>,
+    law: &F,
+    domain: &Domain,
+    boundary: Boundary,
+    policy: &RetryPolicy,
+    epoch: u64,
+    health: Option<&HealthMonitor>,
+) -> Result<(RecoveryReport, f64), FaultError> {
+    gc.bcast_team(st);
+    // Owned block + exchange buffer + recovery checkpoint.
+    gc.col
+        .metrics()
+        .gauge_max("mem_particles_hwm", (3 * st.len()) as u64);
+    let done = recovery_loop(gc, st, policy, epoch, health, |st, attempt| {
+        shift_pass(gc, st, law, domain, boundary, attempt)
+    })?;
+    gc.reduce_team(st);
+    Ok(done)
+}
+
+/// Lines 3-8 on the post-broadcast block `st`: copy it to the exchange
+/// buffer, skew, then `p/c²` shift+update steps. Returns the harvested
+/// pair potential (0 unless `attempt.harvest`); a failed receive or a
+/// fault-injected kill aborts the pass with its [`CommError`].
+fn shift_pass<C: Communicator, F: ForceLaw>(
+    gc: &GridComms<C>,
+    st: &mut [Particle],
+    law: &F,
+    domain: &Domain,
+    boundary: Boundary,
+    attempt: Attempt,
+) -> Result<f64, CommError> {
+    let teams = gc.grid.teams();
+    let c = gc.grid.c();
+    let team = gc.team();
+    let k = gc.row_index();
     // Pipeline-step tagging (0 = skew, s = shift step s): blocked waits in
     // the trace carry the step, so an analyzer can place every wait in the
     // skew/shift schedule and name the late sender.
     let tr = gc.col.tracer();
-    // FLOP/byte accounting for the roofline audit.
+    // FLOP/byte accounting for the roofline audit; aborted attempts still
+    // count, since the work was really done.
     let meter = ComputeMeter::new(&gc.col.metrics(), law.flops_per_interaction());
+    let mut potential = 0.0;
+
+    // Line 3: copy to the exchange buffer.
+    let mut exch = st.to_vec();
 
     // Line 4: skew — row k shifts its buffer k teams east. After this, the
     // row-k processor of team t holds the block of team (t - k) mod teams.
     gc.col.set_phase(Phase::Skew);
     tr.set_step(Some(0));
+    gc.col.fault_step(0)?;
     if k > 0 {
-        let dst = (team + k) % teams;
-        let src = (team + teams - k) % teams;
-        exch = gc.row.sendrecv(dst, src, TAG_SKEW, &exch);
+        let tag = TAG_SKEW + attempt.tag_base;
+        gc.row.send((team + k) % teams, tag, &exch);
+        exch = attempt.recv(&gc.row, (team + teams - k) % teams, tag)?;
     }
 
     // Lines 5-8: shift by c, then update.
-    for s in 1..=steps {
+    for s in 1..=gc.grid.all_pairs_steps() {
         gc.col.set_phase(Phase::Shift);
         tr.set_step(Some(s as u32));
-        let dst = (team + c) % teams;
-        let src = (team + teams - c) % teams;
-        exch = gc.row.sendrecv(dst, src, TAG_SHIFT + s as u64, &exch);
+        gc.col.fault_step(s)?;
+        let tag = TAG_SHIFT + attempt.tag_base + s as u64;
+        gc.row.send((team + c) % teams, tag, &exch);
+        exch = attempt.recv(&gc.row, (team + teams - c) % teams, tag)?;
 
         gc.col.set_phase(Phase::Other);
+        let harvest = attempt.harvest.then_some(&mut potential);
         meter.time(st.len(), exch.len(), || {
-            accumulate_block(st, &exch, law, domain, boundary)
+            accumulate_block_harvest(st, &exch, law, domain, boundary, harvest)
         });
     }
-    tr.set_step(None);
-
-    // Line 9: sum-reduce the partial forces onto the leader.
-    gc.col.set_phase(Phase::Reduce);
-    gc.col.reduce(0, st, combine_forces);
+    Ok(potential)
 }
 
 #[cfg(test)]

@@ -33,11 +33,14 @@
 //! (`home-route` sends below). Boundary teams therefore hold empty buffers
 //! in some steps and idle — the load imbalance the paper reports in §IV.D.
 
-use nbody_comm::{Communicator, Phase};
+use nbody_comm::{CommError, Communicator, Phase};
 use nbody_physics::{Boundary, Domain, ForceLaw, Particle};
 
 use crate::grid::GridComms;
-use crate::kernel::{accumulate_block, combine_forces, ComputeMeter};
+use crate::kernel::{accumulate_block_harvest, ComputeMeter};
+use crate::recovery::{
+    recovery_loop, Attempt, FaultError, HealthMonitor, RecoveryReport, RetryPolicy,
+};
 use crate::window::Window;
 
 /// Tag for the skew message (line 4).
@@ -127,6 +130,59 @@ pub fn ca_cutoff_forces<C: Communicator, W: Window, F: ForceLaw>(
     domain: &Domain,
     boundary: Boundary,
 ) {
+    check_and_bcast(gc, window, st, boundary);
+    // Replicated working set (owned block + home copy + exchange buffer):
+    // the memory the Eq. 3 bounds are evaluated against.
+    gc.col
+        .metrics()
+        .gauge_max("mem_particles_hwm", (3 * st.len()) as u64);
+    shift_pass(gc, window, st, law, domain, boundary, Attempt::BLOCKING)
+        .expect("a blocking pass has no recoverable failure");
+    gc.reduce_team(st);
+}
+
+/// Fault-tolerant [`ca_cutoff_forces`]: the same window-modulo pass with
+/// deadline-bounded receives inside the recovery protocol. See
+/// [`ca_all_pairs_forces_ft`](crate::allpairs::ca_all_pairs_forces_ft)
+/// for the contract; `epoch` uniqueness is per execution, shared with the
+/// all-pairs driver. The harvested potential covers exactly the in-window
+/// pairs the cutoff schedule evaluates.
+///
+/// Note that rows perform different step counts here ([`row_steps`]), so a
+/// kill scheduled at step `s` only fires on ranks whose row reaches that
+/// step.
+#[allow(clippy::too_many_arguments)]
+pub fn ca_cutoff_forces_ft<C: Communicator, W: Window, F: ForceLaw>(
+    gc: &GridComms<C>,
+    window: &W,
+    st: &mut Vec<Particle>,
+    law: &F,
+    domain: &Domain,
+    boundary: Boundary,
+    policy: &RetryPolicy,
+    epoch: u64,
+    health: Option<&HealthMonitor>,
+) -> Result<(RecoveryReport, f64), FaultError> {
+    check_and_bcast(gc, window, st, boundary);
+    // Owned block + home copy + exchange buffer + recovery checkpoint.
+    gc.col
+        .metrics()
+        .gauge_max("mem_particles_hwm", (4 * st.len()) as u64);
+    let done = recovery_loop(gc, st, policy, epoch, health, |st, attempt| {
+        shift_pass(gc, window, st, law, domain, boundary, attempt)
+    })?;
+    gc.reduce_team(st);
+    Ok(done)
+}
+
+/// Check the configuration, then line 2: broadcast the team subset down
+/// the column.
+fn check_and_bcast<C: Communicator, W: Window>(
+    gc: &GridComms<C>,
+    window: &W,
+    st: &mut Vec<Particle>,
+    boundary: Boundary,
+) {
     assert_eq!(
         boundary == Boundary::Periodic,
         window.is_periodic(),
@@ -134,58 +190,66 @@ pub fn ca_cutoff_forces<C: Communicator, W: Window, F: ForceLaw>(
          the paper's non-periodic domain; periodic boundaries need the \
          wrap-around windows from `window_periodic`"
     );
-    let teams = gc.grid.teams();
+    validate_cutoff(window, gc.grid.teams(), gc.grid.c()).expect("invalid cutoff configuration");
+    gc.bcast_team(st);
+}
+
+/// Lines 3-8 on the post-broadcast block `st`: copy it to the home and
+/// exchange buffers, skew to position `k`, then shift modulo the window
+/// and update. Returns the harvested pair potential (0 unless
+/// `attempt.harvest`); a failed receive or a fault-injected kill aborts
+/// the pass with its [`CommError`].
+fn shift_pass<C: Communicator, W: Window, F: ForceLaw>(
+    gc: &GridComms<C>,
+    window: &W,
+    st: &mut [Particle],
+    law: &F,
+    domain: &Domain,
+    boundary: Boundary,
+    attempt: Attempt,
+) -> Result<f64, CommError> {
     let c = gc.grid.c();
-    validate_cutoff(window, teams, c).expect("invalid cutoff configuration");
     let w = window.len();
     let t = gc.team();
     let k = gc.row_index();
-    debug_assert!(gc.is_leader() || st.is_empty());
-
-    // Line 2: broadcast the team subset down the column.
-    gc.col.set_phase(Phase::Broadcast);
-    gc.col.bcast(0, st);
-
-    // Line 3: the exchange buffer. `home` is the immutable copy used to
-    // re-inject this team's block when a traversal wraps across the domain
-    // boundary.
-    let home: Vec<Particle> = st.clone();
-    let mut exch: Vec<Particle> = st.clone();
-    // Replicated working set (owned block + home copy + exchange buffer):
-    // the memory the Eq. 3 bounds are evaluated against.
-    gc.col
-        .metrics()
-        .gauge_max("mem_particles_hwm", (st.len() + home.len() + exch.len()) as u64);
-    // Window position and block currently held (None = fell off the edge).
-    let mut cur_block: Option<usize> = Some(t);
-
     // Pipeline-step tagging (0 = skew, s = shift step s) for blocked-wait
     // attribution in the trace.
     let tr = gc.col.tracer();
     // FLOP/byte accounting for the roofline audit.
     let meter = ComputeMeter::new(&gc.col.metrics(), law.flops_per_interaction());
+    let mut potential = 0.0;
+
+    // Line 3: the exchange buffer. `home` is the immutable copy used to
+    // re-inject this team's block when a traversal wraps across the domain
+    // boundary; a retry rebuilds it from the restored checkpoint.
+    let home = st.to_vec();
+    let mut exch = st.to_vec();
+    // Window position and block currently held (None = fell off the edge).
+    let mut cur_block: Option<usize> = Some(t);
 
     // Line 4: skew to position k. Own blocks move directly from their homes.
     gc.col.set_phase(Phase::Skew);
     tr.set_step(Some(0));
+    gc.col.fault_step(0)?;
     if k > 0 {
+        let tag = TAG_CSKEW + attempt.tag_base;
         if let Some(dst) = window.apply(t, k) {
-            gc.row.send(dst, TAG_CSKEW, &exch);
+            gc.row.send(dst, tag, &exch);
         }
         cur_block = window.apply_back(t, k);
         exch = match cur_block {
-            Some(b) => gc.row.recv(b, TAG_CSKEW),
+            Some(b) => attempt.recv(&gc.row, b, tag)?,
             None => Vec::new(),
         };
     }
 
     // Lines 5-8: shift modulo the window, then update. Row k stops after
     // its last first-wrap position (row_steps), giving O(W/c) steps.
-    let steps = row_steps(w, c, k);
-    for s in 1..=steps {
+    for s in 1..=row_steps(w, c, k) {
         gc.col.set_phase(Phase::Shift);
         tr.set_step(Some(s as u32));
-        let tag = TAG_CSHIFT + s as u64;
+        gc.col.fault_step(s)?;
+        let tag = TAG_CSHIFT + attempt.tag_base + s as u64;
         let j_prev = (k + (s - 1) * c) % w;
         let j_new = (k + s * c) % w;
 
@@ -211,26 +275,20 @@ pub fn ca_cutoff_forces<C: Communicator, W: Window, F: ForceLaw>(
         // or from its home team.
         cur_block = window.apply_back(t, j_new);
         exch = match cur_block {
-            Some(b) => {
-                let src = window.apply(b, j_prev).unwrap_or(b);
-                gc.row.recv(src, tag)
-            }
+            Some(b) => attempt.recv(&gc.row, window.apply(b, j_prev).unwrap_or(b), tag)?,
             None => Vec::new(),
         };
 
         // Line 7: update, once per window position (first-wrap rule).
         if k + s * c < w + c && cur_block.is_some() {
             gc.col.set_phase(Phase::Other);
+            let harvest = attempt.harvest.then_some(&mut potential);
             meter.time(st.len(), exch.len(), || {
-                accumulate_block(st, &exch, law, domain, boundary)
+                accumulate_block_harvest(st, &exch, law, domain, boundary, harvest)
             });
         }
     }
-    tr.set_step(None);
-
-    // Line 9: sum-reduce the partial forces onto the leader.
-    gc.col.set_phase(Phase::Reduce);
-    gc.col.reduce(0, st, combine_forces);
+    Ok(potential)
 }
 
 #[cfg(test)]

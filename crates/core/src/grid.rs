@@ -7,7 +7,10 @@
 
 use std::fmt;
 
-use nbody_comm::Communicator;
+use nbody_comm::{Communicator, Phase};
+use nbody_physics::Particle;
+
+use crate::kernel::combine_forces;
 
 /// Errors from invalid grid parameters.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -182,6 +185,25 @@ impl<C: Communicator> GridComms<C> {
     #[inline]
     pub fn is_leader(&self) -> bool {
         self.col.rank() == 0
+    }
+
+    /// Broadcast the leader's block `st` down the column (line 2 of both
+    /// CA algorithms); `st` must be empty on the other rows.
+    pub(crate) fn bcast_team(&self, st: &mut Vec<Particle>) {
+        debug_assert!(
+            self.is_leader() || st.is_empty(),
+            "only leaders contribute particles"
+        );
+        self.col.set_phase(Phase::Broadcast);
+        self.col.bcast(0, st);
+    }
+
+    /// Sum-reduce the rows' partial forces onto the leader (line 9), after
+    /// clearing the pipeline-step tag of the shift pass.
+    pub(crate) fn reduce_team(&self, st: &mut Vec<Particle>) {
+        self.col.tracer().set_step(None);
+        self.col.set_phase(Phase::Reduce);
+        self.col.reduce(0, st, combine_forces);
     }
 }
 

@@ -32,8 +32,54 @@ pub fn accumulate_block<F: ForceLaw>(
     domain: &Domain,
     boundary: Boundary,
 ) -> u64 {
-    let (done, mut skipped) = accumulate_lanes(targets, sources, law, boundary);
-    for t in targets[done..].iter_mut() {
+    let (done, skipped) = accumulate_lanes(targets, sources, law, boundary);
+    let (skipped, _) =
+        scalar_loop::<false, F>(targets, done, sources, law, domain, boundary, skipped);
+    evaluations(targets.len(), sources.len(), skipped)
+}
+
+/// [`accumulate_block`], additionally adding the summed pair potential of
+/// every evaluated interaction to `potential` when one is given — the
+/// health monitors' potential-energy partial. Because the CA schedules
+/// evaluate every *ordered* pair exactly once globally, the world-reduced
+/// sum of these partials counts each unordered pair twice; the driver
+/// halves it. Harvesting calls stay on the scalar loop: the lane path has
+/// no potential accumulator.
+pub(crate) fn accumulate_block_harvest<F: ForceLaw>(
+    targets: &mut [Particle],
+    sources: &[Particle],
+    law: &F,
+    domain: &Domain,
+    boundary: Boundary,
+    potential: Option<&mut f64>,
+) -> u64 {
+    let Some(potential) = potential else {
+        return accumulate_block(targets, sources, law, domain, boundary);
+    };
+    let (skipped, pe) = scalar_loop::<true, F>(targets, 0, sources, law, domain, boundary, 0);
+    *potential += pe;
+    evaluations(targets.len(), sources.len(), skipped)
+}
+
+/// The scalar kernel loop: every target from index `from` on sums its
+/// sources in slice order, skipping same-id pairs. With `HARVEST` it also
+/// sums the pair potential of every evaluated interaction; without it the
+/// potential code compiles away, so plain (health-off) calls pay nothing
+/// for it. Returns `skipped` plus the pairs it skipped, and the harvested
+/// potential. (Taking the start index and running count, rather than a
+/// sub-slice, keeps the plain instantiation's machine code identical to
+/// the loop it replaced.)
+fn scalar_loop<const HARVEST: bool, F: ForceLaw>(
+    targets: &mut [Particle],
+    from: usize,
+    sources: &[Particle],
+    law: &F,
+    domain: &Domain,
+    boundary: Boundary,
+    mut skipped: u64,
+) -> (u64, f64) {
+    let mut potential = 0.0f64;
+    for t in targets[from..].iter_mut() {
         let mut acc = t.force;
         for s in sources {
             if t.id == s.id {
@@ -42,11 +88,20 @@ pub fn accumulate_block<F: ForceLaw>(
             }
             let disp = boundary.displacement(domain, t.pos, s.pos);
             acc += law.force(t, s, disp);
+            if HARVEST {
+                potential += law.potential(t, s, disp);
+            }
         }
         t.force = acc;
     }
-    (targets.len() as u64)
-        .saturating_mul(sources.len() as u64)
+    (skipped, potential)
+}
+
+/// Force evaluations of a `targets` x `sources` call that skipped
+/// `skipped` same-id pairs.
+fn evaluations(targets: usize, sources: usize, skipped: u64) -> u64 {
+    (targets as u64)
+        .saturating_mul(sources as u64)
         .saturating_sub(skipped)
 }
 
@@ -171,43 +226,6 @@ mod avx2 {
         let skipped = unsafe { std::mem::transmute::<__m256i, [u64; LANES]>(skipped) };
         skipped.iter().sum()
     }
-}
-
-/// [`accumulate_block`], additionally harvesting the summed pair potential
-/// of every evaluated interaction — the health monitors' potential-energy
-/// partial. Because the CA schedules evaluate every *ordered* pair exactly
-/// once globally, the world-reduced sum of these partials counts each
-/// unordered pair twice; the driver halves it.
-///
-/// Kept separate from [`accumulate_block`] so plain (health-off) runs pay
-/// nothing: the potential evaluation is not free for laws like
-/// Lennard-Jones, and a dead second accumulator still costs a register.
-pub fn accumulate_block_potential<F: ForceLaw>(
-    targets: &mut [Particle],
-    sources: &[Particle],
-    law: &F,
-    domain: &Domain,
-    boundary: Boundary,
-) -> (u64, f64) {
-    let mut skipped: u64 = 0;
-    let mut potential = 0.0f64;
-    for t in targets.iter_mut() {
-        let mut acc = t.force;
-        for s in sources {
-            if t.id == s.id {
-                skipped += 1;
-                continue;
-            }
-            let disp = boundary.displacement(domain, t.pos, s.pos);
-            acc += law.force(t, s, disp);
-            potential += law.potential(t, s, disp);
-        }
-        t.force = acc;
-    }
-    let evals = (targets.len() as u64)
-        .saturating_mul(sources.len() as u64)
-        .saturating_sub(skipped);
-    (evals, potential)
 }
 
 /// Number of force evaluations `accumulate_block` performs for the given
@@ -385,8 +403,15 @@ mod tests {
         let sources = a.clone();
 
         let evals_plain = accumulate_block(&mut a, &sources, &law, &domain, Boundary::Open);
-        let (evals, pe) =
-            accumulate_block_potential(&mut b, &sources, &law, &domain, Boundary::Open);
+        let mut pe = 0.0;
+        let evals = accumulate_block_harvest(
+            &mut b,
+            &sources,
+            &law,
+            &domain,
+            Boundary::Open,
+            Some(&mut pe),
+        );
         assert_eq!(a, b, "forces must be bit-identical to the plain kernel");
         assert_eq!(evals, evals_plain);
 

@@ -8,6 +8,8 @@
 //!   `p/c × c` processor grid.
 //! * [`cutoff`] — Algorithm 2 (1D) and its Fig. 5 generalization (2D),
 //!   traversing interaction [`window`]s modulo the cutoff.
+//! * [`recovery`] — the retry/agreement/resync protocol the fault-tolerant
+//!   entry points of both algorithms wrap around the same shift pass.
 //! * [`baselines`] — Plimpton's particle and force decompositions and the
 //!   allgather ("tree") naive variant.
 //! * [`spatial`] — the non-replicating halo-exchange baseline (§II.C).
@@ -35,19 +37,14 @@ pub mod window;
 pub mod window_periodic;
 pub mod wire;
 
-pub use cutoff::{ca_cutoff_forces, CutoffError};
-pub use allpairs::ca_all_pairs_forces;
+pub use cutoff::{ca_cutoff_forces, ca_cutoff_forces_ft, CutoffError};
+pub use allpairs::{ca_all_pairs_forces, ca_all_pairs_forces_ft};
 pub use grid::{GridComms, GridError, ProcGrid};
-pub use recovery::{
-    ca_all_pairs_forces_ft, ca_all_pairs_forces_ft_health, ca_cutoff_forces_ft,
-    ca_cutoff_forces_ft_health, FaultClass, FaultError, HealthMonitor, RecoveryReport,
-    RetryPolicy,
-};
+pub use recovery::{FaultClass, FaultError, HealthMonitor, RecoveryReport, RetryPolicy};
 pub use probe::StepProbe;
 pub use sim::{
-    run_distributed, run_distributed_chaos, run_distributed_chaos_recorded,
-    run_distributed_chaos_wired, run_distributed_durable, run_distributed_health,
-    run_distributed_recorded, run_distributed_sampled, run_distributed_traced,
+    run_distributed, run_distributed_chaos, run_distributed_chaos_wired, run_distributed_durable,
+    run_distributed_health, run_distributed_recorded, run_distributed_sampled,
     run_distributed_wired, run_serial, ChaosRunResult, CheckpointConfig, Method, RunResult,
     SimConfig,
 };

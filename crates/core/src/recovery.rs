@@ -1,4 +1,9 @@
-//! Fault-tolerant variants of the CA force drivers.
+//! The recovery protocol of the fault-tolerant CA force drivers
+//! ([`ca_all_pairs_forces_ft`](crate::allpairs::ca_all_pairs_forces_ft),
+//! [`ca_cutoff_forces_ft`](crate::cutoff::ca_cutoff_forces_ft)). Each
+//! algorithm's schedule lives once, in its own module, as a pass that
+//! both the plain and the fault-tolerant driver run; this module holds
+//! only what wraps that pass.
 //!
 //! The paper's algorithms assume a failure-free machine; at the scales its
 //! model targets (Hopper: 153k cores), rank loss during a force evaluation
@@ -55,16 +60,10 @@ use std::time::{Duration, Instant};
 
 use nbody_comm::{CommError, Communicator, EventKind, Phase};
 use nbody_metrics::Counter;
-use nbody_physics::{Boundary, Domain, ForceLaw, Particle};
+use nbody_physics::Particle;
 use nbody_simhealth::state_fingerprint;
 
-use crate::allpairs::{TAG_SHIFT, TAG_SKEW};
-use crate::cutoff::{row_steps, validate_cutoff, TAG_CSHIFT, TAG_CSKEW};
 use crate::grid::GridComms;
-use crate::kernel::{
-    accumulate_block, accumulate_block_potential, combine_forces, ComputeMeter,
-};
-use crate::window::Window;
 
 /// Tag distance between retry attempts of one evaluation. Attempt `a` of
 /// evaluation epoch `e` offsets every pipeline tag by
@@ -334,6 +333,38 @@ fn agree<C: Communicator>(gc: &GridComms<C>, local: u8) -> u8 {
     buf[0]
 }
 
+/// The lowest row of this column whose member did not flag itself, from a
+/// column allgather of the one-byte flags (identical on every member, so
+/// every member picks the same row). `None` when every row is flagged.
+fn first_clean_row<C: Communicator>(gc: &GridComms<C>, flagged: bool) -> Option<usize> {
+    let flags = gc.col.allgather(&[u8::from(flagged)]);
+    flags.iter().position(|f| f[0] == 0)
+}
+
+/// Re-seed the column's checkpoints by broadcasting `input` from
+/// `src_row`; the `repaired` ranks count the bytes they received.
+fn reseed<C: Communicator>(
+    gc: &GridComms<C>,
+    input: &mut Vec<Particle>,
+    src_row: usize,
+    repaired: bool,
+    note: &str,
+    counters: &FaultCounters,
+    epoch: u64,
+) {
+    gc.col.bcast(src_row, input);
+    gc.col.timeline().event(
+        EventKind::Resync,
+        Some(epoch),
+        &format!("checkpoint re-seeded from row {src_row}{note}"),
+    );
+    if repaired {
+        counters
+            .resync_bytes
+            .add((input.len() * std::mem::size_of::<Particle>()) as u64);
+    }
+}
+
 /// Per-rank numerical-health state threaded through the fault-tolerant
 /// drivers: enables the replica fingerprint cross-check and carries the
 /// deterministic corruption injection used to test it.
@@ -433,23 +464,66 @@ impl HealthMonitor {
     }
 }
 
-/// The retry/agreement/resync loop shared by both fault-tolerant drivers.
+/// How one pass of a CA shift pipeline runs: the tag offset of its
+/// attempt, its receive deadline, and whether the kernel harvests the pair
+/// potential. The plain drivers run one [`Attempt::BLOCKING`] pass; the
+/// fault-tolerant drivers run one bounded pass per [`recovery_loop`]
+/// attempt.
+#[derive(Debug, Clone, Copy)]
+pub(crate) struct Attempt {
+    /// Added to every pipeline tag (see [`EPOCH_TAG_STRIDE`]).
+    pub tag_base: u64,
+    /// `Some`: receives time out into a [`CommError`]. `None`: they block,
+    /// bounded only by the transport's `NBODY_RECV_TIMEOUT_SECS` panic.
+    pub deadline: Option<Duration>,
+    /// Sum the pair potential of every evaluated interaction.
+    pub harvest: bool,
+}
+
+impl Attempt {
+    /// The single pass of a plain evaluation: untagged, blocking, no
+    /// harvest.
+    pub const BLOCKING: Attempt = Attempt {
+        tag_base: 0,
+        deadline: None,
+        harvest: false,
+    };
+
+    /// Receive the next pipeline buffer from `src` under this attempt's
+    /// deadline.
+    pub fn recv<C: Communicator>(
+        &self,
+        comm: &C,
+        src: usize,
+        tag: u64,
+    ) -> Result<Vec<Particle>, CommError> {
+        match self.deadline {
+            Some(deadline) => comm.try_recv_timeout(src, tag, deadline),
+            None => Ok(comm.recv(src, tag)),
+        }
+    }
+}
+
+/// The retry/agreement/resync loop around one fault-tolerant force
+/// evaluation.
 ///
 /// `st` must hold the post-broadcast input block; `attempt` runs one
-/// fallible pipeline pass over `st` under the given tag offset, with the
-/// given per-receive deadline. On success `st` holds the accumulated
-/// partial forces and the caller performs the final reduction. On
+/// fallible pipeline pass over `st` as the given [`Attempt`]: its tag
+/// offset, its receive deadline, and harvesting on exactly when `health`
+/// is set. On success `st` holds the accumulated
+/// partial forces, the successful pass's value is returned with the
+/// report, and the caller performs the final reduction. On
 /// [`FaultError::ColumnsLost`], `st` holds the restored *pre-force*
 /// checkpoint on every surviving-column rank (empty on dead-column ranks)
 /// so the caller can redistribute and shrink.
-fn recovery_loop<C: Communicator>(
+pub(crate) fn recovery_loop<C: Communicator, T>(
     gc: &GridComms<C>,
     st: &mut Vec<Particle>,
     policy: &RetryPolicy,
     epoch: u64,
     health: Option<&HealthMonitor>,
-    mut attempt: impl FnMut(&mut Vec<Particle>, u64, Duration) -> Result<(), CommError>,
-) -> Result<RecoveryReport, FaultError> {
+    mut attempt: impl FnMut(&mut Vec<Particle>, Attempt) -> Result<T, CommError>,
+) -> Result<(RecoveryReport, T), FaultError> {
     let c = gc.grid.c();
     let world_rank = gc.grid.rank_at(gc.team(), gc.row_index());
     let counters = FaultCounters::new(&gc.col);
@@ -483,11 +557,18 @@ fn recovery_loop<C: Communicator>(
         // pipeline touches the wire: a diverged replica is caught before
         // it can contaminate an entire evaluation.
         let outcome = match health.map_or(Ok(()), |h| h.crosscheck(gc, st, world_rank, epoch)) {
-            Ok(()) => attempt(st, tag_base, deadline),
+            Ok(()) => attempt(
+                st,
+                Attempt {
+                    tag_base,
+                    deadline: Some(deadline),
+                    harvest: health.is_some(),
+                },
+            ),
             Err(e) => Err(e),
         };
-        let local = match outcome {
-            Ok(()) => STATUS_OK,
+        let local = match &outcome {
+            Ok(_) => STATUS_OK,
             Err(CommError::PeerDead { .. }) => STATUS_DEAD,
             Err(CommError::StateCorrupt { .. }) => STATUS_CORRUPT,
             Err(_) => STATUS_TRANSIENT,
@@ -520,16 +601,17 @@ fn recovery_loop<C: Communicator>(
         }
         gc.col.set_phase(Phase::Recovery);
         let status = agree(gc, local);
-        if status == STATUS_OK {
+        if let (STATUS_OK, Ok(value)) = (status, outcome) {
             if had_fault {
                 counters.recovered.inc();
             }
-            return Ok(RecoveryReport {
+            let report = RecoveryReport {
                 attempts,
                 recovered: had_fault,
                 fingerprint_mismatches: fp_mismatches,
                 ..RecoveryReport::default()
-            });
+            };
+            return Ok((report, value));
         }
         had_fault = true;
         if status == STATUS_CORRUPT {
@@ -538,8 +620,7 @@ fn recovery_loop<C: Communicator>(
         if status == STATUS_DEAD {
             // Which rows of this column survive? The flags are identical
             // on every member of the column.
-            let flags = gc.col.allgather(&[u8::from(self_dead)]);
-            let src_row = flags.iter().position(|f| f[0] == 0);
+            let src_row = first_clean_row(gc, self_dead);
             let column_lost = src_row.is_none();
             // Share per-column verdicts across the row: every row spans
             // all teams, so each rank learns the full dead-team set and
@@ -566,17 +647,8 @@ fn recovery_loop<C: Communicator>(
                 // the pre-force checkpoint to shrink from.
                 gc.col.fault_revive();
                 if let Some(src_row) = src_row {
-                    gc.col.bcast(src_row, &mut input);
-                    tl.event(
-                        EventKind::Resync,
-                        Some(epoch),
-                        &format!("checkpoint re-seeded from row {src_row} before shrink"),
-                    );
-                    if self_dead {
-                        counters
-                            .resync_bytes
-                            .add((input.len() * std::mem::size_of::<Particle>()) as u64);
-                    }
+                    let note = " before shrink";
+                    reseed(gc, &mut input, src_row, self_dead, note, &counters, epoch);
                 }
                 *st = input;
                 let err = FaultError::ColumnsLost { dead_teams, c };
@@ -598,22 +670,9 @@ fn recovery_loop<C: Communicator>(
             // column. The flags are identical on all members of a column,
             // so every member picks the same broadcast root (recomputed
             // here: the allgather above consumed per-attempt state).
-            let flags = gc.col.allgather(&[u8::from(self_dead)]);
-            let src_row = flags
-                .iter()
-                .position(|f| f[0] == 0)
-                .expect("agreed recoverable, so a survivor exists");
-            gc.col.bcast(src_row, &mut input);
-            tl.event(
-                EventKind::Resync,
-                Some(epoch),
-                &format!("checkpoint re-seeded from row {src_row}"),
-            );
-            if self_dead {
-                counters
-                    .resync_bytes
-                    .add((input.len() * std::mem::size_of::<Particle>()) as u64);
-            }
+            let src_row =
+                first_clean_row(gc, self_dead).expect("agreed recoverable, so a survivor exists");
+            reseed(gc, &mut input, src_row, self_dead, "", &counters, epoch);
         }
         if status == STATUS_CORRUPT {
             // Repair the diverged replica: re-seed every checkpoint in the
@@ -621,22 +680,18 @@ fn recovery_loop<C: Communicator>(
             // corrupt flags are identical on all members of a column (the
             // majority vote is deterministic), so every member picks the
             // same broadcast root.
-            let flags = gc.col.allgather(&[u8::from(self_corrupt)]);
-            let src_row = flags
-                .iter()
-                .position(|f| f[0] == 0)
+            let src_row = first_clean_row(gc, self_corrupt)
                 .expect("the cross-check minority never includes every row");
-            gc.col.bcast(src_row, &mut input);
-            tl.event(
-                EventKind::Resync,
-                Some(epoch),
-                &format!("checkpoint re-seeded from row {src_row} after fingerprint mismatch"),
+            let note = " after fingerprint mismatch";
+            reseed(
+                gc,
+                &mut input,
+                src_row,
+                self_corrupt,
+                note,
+                &counters,
+                epoch,
             );
-            if self_corrupt {
-                counters
-                    .resync_bytes
-                    .add((input.len() * std::mem::size_of::<Particle>()) as u64);
-            }
         }
         counters.retries.inc();
         // The next attempt's deadline comes from the agreed fault class:
@@ -664,258 +719,14 @@ fn recovery_loop<C: Communicator>(
     }
 }
 
-/// Fault-tolerant [`ca_all_pairs_forces`](crate::allpairs::ca_all_pairs_forces):
-/// identical result (bit-for-bit, even across recoveries), but the shift
-/// pipeline detects failed peers by timeout and runs the recovery protocol
-/// described in the module docs.
-///
-/// `epoch` must be unique per force evaluation on one execution (the
-/// timestep index) — it namespaces message tags so traffic from an aborted
-/// attempt can never satisfy a later evaluation's receive.
-pub fn ca_all_pairs_forces_ft<C: Communicator, F: ForceLaw>(
-    gc: &GridComms<C>,
-    st: &mut Vec<Particle>,
-    law: &F,
-    domain: &Domain,
-    boundary: Boundary,
-    policy: &RetryPolicy,
-    epoch: u64,
-) -> Result<RecoveryReport, FaultError> {
-    ca_all_pairs_forces_ft_health(gc, st, law, domain, boundary, policy, epoch, None)
-        .map(|(report, _)| report)
-}
-
-/// [`ca_all_pairs_forces_ft`] with the numerical-health monitors threaded
-/// through: when `health` is set, the kernel harvests the summed pair
-/// potential (returned alongside the report — the rank's potential-energy
-/// partial, counting each unordered pair twice globally) and every
-/// recovery attempt starts with the replica fingerprint cross-check.
-/// With `health = None` this *is* the plain ft driver: same kernel, no
-/// harvesting, no cross-check traffic.
-#[allow(clippy::too_many_arguments)]
-pub fn ca_all_pairs_forces_ft_health<C: Communicator, F: ForceLaw>(
-    gc: &GridComms<C>,
-    st: &mut Vec<Particle>,
-    law: &F,
-    domain: &Domain,
-    boundary: Boundary,
-    policy: &RetryPolicy,
-    epoch: u64,
-    health: Option<&HealthMonitor>,
-) -> Result<(RecoveryReport, f64), FaultError> {
-    let teams = gc.grid.teams();
-    let c = gc.grid.c();
-    let steps = gc.grid.all_pairs_steps();
-    let team = gc.team();
-    let k = gc.row_index();
-    debug_assert!(gc.is_leader() || st.is_empty());
-
-    gc.col.set_phase(Phase::Broadcast);
-    gc.col.bcast(0, st);
-    // Owned block + exchange buffer + recovery checkpoint.
-    gc.col
-        .metrics()
-        .gauge_max("mem_particles_hwm", (3 * st.len()) as u64);
-
-    let tr = gc.col.tracer();
-    // FLOP/byte accounting for the roofline audit; aborted attempts still
-    // count — the work was really done.
-    let meter = ComputeMeter::new(&gc.col.metrics(), law.flops_per_interaction());
-    let harvest = health.is_some();
-    let mut pe = 0.0f64;
-    let report = recovery_loop(gc, st, policy, epoch, health, |st, tag_base, deadline| {
-        // An aborted attempt's partial harvest must not double-count.
-        pe = 0.0;
-        let mut exch = st.clone();
-        gc.col.set_phase(Phase::Skew);
-        tr.set_step(Some(0));
-        gc.col.fault_step(0)?;
-        if k > 0 {
-            let dst = (team + k) % teams;
-            let src = (team + teams - k) % teams;
-            gc.row.send(dst, TAG_SKEW + tag_base, &exch);
-            exch = gc
-                .row
-                .try_recv_timeout(src, TAG_SKEW + tag_base, deadline)?;
-        }
-        for s in 1..=steps {
-            gc.col.set_phase(Phase::Shift);
-            tr.set_step(Some(s as u32));
-            gc.col.fault_step(s)?;
-            let dst = (team + c) % teams;
-            let src = (team + teams - c) % teams;
-            let tag = TAG_SHIFT + tag_base + s as u64;
-            gc.row.send(dst, tag, &exch);
-            exch = gc.row.try_recv_timeout(src, tag, deadline)?;
-
-            gc.col.set_phase(Phase::Other);
-            meter.time(st.len(), exch.len(), || {
-                if harvest {
-                    let (evals, dpe) =
-                        accumulate_block_potential(st, &exch, law, domain, boundary);
-                    pe += dpe;
-                    evals
-                } else {
-                    accumulate_block(st, &exch, law, domain, boundary)
-                }
-            });
-        }
-        Ok(())
-    })?;
-    tr.set_step(None);
-
-    gc.col.set_phase(Phase::Reduce);
-    gc.col.reduce(0, st, combine_forces);
-    Ok((report, pe))
-}
-
-/// Fault-tolerant [`ca_cutoff_forces`](crate::cutoff::ca_cutoff_forces):
-/// the window-modulo pipeline with deadline-bounded receives and the
-/// recovery protocol. See [`ca_all_pairs_forces_ft`] for the contract;
-/// `epoch` uniqueness is per-execution, shared with the all-pairs driver.
-///
-/// Note that rows perform different step counts here
-/// ([`row_steps`]), so a kill scheduled at step `s` only fires on ranks
-/// whose row reaches that step.
-#[allow(clippy::too_many_arguments)]
-pub fn ca_cutoff_forces_ft<C: Communicator, W: Window, F: ForceLaw>(
-    gc: &GridComms<C>,
-    window: &W,
-    st: &mut Vec<Particle>,
-    law: &F,
-    domain: &Domain,
-    boundary: Boundary,
-    policy: &RetryPolicy,
-    epoch: u64,
-) -> Result<RecoveryReport, FaultError> {
-    ca_cutoff_forces_ft_health(gc, window, st, law, domain, boundary, policy, epoch, None)
-        .map(|(report, _)| report)
-}
-
-/// [`ca_cutoff_forces_ft`] with the numerical-health monitors threaded
-/// through; see [`ca_all_pairs_forces_ft_health`] for the contract. The
-/// harvested potential covers exactly the in-window pairs the cutoff
-/// schedule evaluates.
-#[allow(clippy::too_many_arguments)]
-pub fn ca_cutoff_forces_ft_health<C: Communicator, W: Window, F: ForceLaw>(
-    gc: &GridComms<C>,
-    window: &W,
-    st: &mut Vec<Particle>,
-    law: &F,
-    domain: &Domain,
-    boundary: Boundary,
-    policy: &RetryPolicy,
-    epoch: u64,
-    health: Option<&HealthMonitor>,
-) -> Result<(RecoveryReport, f64), FaultError> {
-    assert_eq!(
-        boundary == Boundary::Periodic,
-        window.is_periodic(),
-        "boundary and window periodicity must agree"
-    );
-    let teams = gc.grid.teams();
-    let c = gc.grid.c();
-    validate_cutoff(window, teams, c).expect("invalid cutoff configuration");
-    let w = window.len();
-    let t = gc.team();
-    let k = gc.row_index();
-    debug_assert!(gc.is_leader() || st.is_empty());
-
-    gc.col.set_phase(Phase::Broadcast);
-    gc.col.bcast(0, st);
-    // Owned block + home copy + exchange buffer + recovery checkpoint.
-    gc.col
-        .metrics()
-        .gauge_max("mem_particles_hwm", (4 * st.len()) as u64);
-
-    let tr = gc.col.tracer();
-    // FLOP/byte accounting for the roofline audit.
-    let meter = ComputeMeter::new(&gc.col.metrics(), law.flops_per_interaction());
-    let harvest = health.is_some();
-    let mut pe = 0.0f64;
-    let report = recovery_loop(gc, st, policy, epoch, health, |st, tag_base, deadline| {
-        // An aborted attempt's partial harvest must not double-count.
-        pe = 0.0;
-        // The home copy is rebuilt from the checkpointed state each
-        // attempt, so home-route re-injection stays consistent on retries.
-        let home: Vec<Particle> = st.clone();
-        let mut exch: Vec<Particle> = st.clone();
-        let mut cur_block: Option<usize> = Some(t);
-
-        gc.col.set_phase(Phase::Skew);
-        tr.set_step(Some(0));
-        gc.col.fault_step(0)?;
-        if k > 0 {
-            let tag = TAG_CSKEW + tag_base;
-            if let Some(dst) = window.apply(t, k) {
-                gc.row.send(dst, tag, &exch);
-            }
-            cur_block = window.apply_back(t, k);
-            exch = match cur_block {
-                Some(b) => gc.row.try_recv_timeout(b, tag, deadline)?,
-                None => Vec::new(),
-            };
-        }
-
-        let steps = row_steps(w, c, k);
-        for s in 1..=steps {
-            gc.col.set_phase(Phase::Shift);
-            tr.set_step(Some(s as u32));
-            gc.col.fault_step(s)?;
-            let tag = TAG_CSHIFT + tag_base + s as u64;
-            let j_prev = (k + (s - 1) * c) % w;
-            let j_new = (k + s * c) % w;
-
-            if let Some(b) = cur_block {
-                if let Some(holder) = window.apply(b, j_new) {
-                    gc.row.send(holder, tag, &exch);
-                }
-            }
-            if let Some(needy) = window.apply(t, j_new) {
-                if window.apply(t, j_prev).is_none() {
-                    gc.row.send(needy, tag, &home);
-                }
-            }
-
-            cur_block = window.apply_back(t, j_new);
-            exch = match cur_block {
-                Some(b) => {
-                    let src = window.apply(b, j_prev).unwrap_or(b);
-                    gc.row.try_recv_timeout(src, tag, deadline)?
-                }
-                None => Vec::new(),
-            };
-
-            if k + s * c < w + c && cur_block.is_some() {
-                gc.col.set_phase(Phase::Other);
-                meter.time(st.len(), exch.len(), || {
-                    if harvest {
-                        let (evals, dpe) =
-                            accumulate_block_potential(st, &exch, law, domain, boundary);
-                        pe += dpe;
-                        evals
-                    } else {
-                        accumulate_block(st, &exch, law, domain, boundary)
-                    }
-                });
-            }
-        }
-        Ok(())
-    })?;
-    tr.set_step(None);
-
-    gc.col.set_phase(Phase::Reduce);
-    gc.col.reduce(0, st, combine_forces);
-    Ok((report, pe))
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::allpairs::ca_all_pairs_forces_ft;
     use crate::dist::id_block_subset;
     use crate::grid::ProcGrid;
     use nbody_comm::{run_ranks, run_ranks_chaos, FaultPlan};
-    use nbody_physics::{init, RepulsiveInverseSquare};
+    use nbody_physics::{init, Boundary, Domain, RepulsiveInverseSquare};
 
     fn law() -> RepulsiveInverseSquare {
         RepulsiveInverseSquare {
@@ -945,7 +756,9 @@ mod tests {
                 Boundary::Reflective,
                 &RetryPolicy::default(),
                 0,
+                None,
             )
+            .map(|(report, _)| report)
             .expect("fault-free run cannot fail");
             assert_eq!(
                 rep,
@@ -1029,7 +842,9 @@ mod tests {
                 Boundary::Reflective,
                 &RetryPolicy::with_timeout_ms(500),
                 0,
+                None,
             )
+            .map(|(report, _)| report)
             .expect("c=2 must recover from a single kill");
             assert!(rep.recovered);
             assert_eq!(rep.attempts, 2);
@@ -1065,7 +880,9 @@ mod tests {
                 Boundary::Reflective,
                 &RetryPolicy::with_timeout_ms(300),
                 0,
+                None,
             )
+            .map(|(report, _)| report)
         });
         for err in errs {
             assert_eq!(
@@ -1140,7 +957,9 @@ mod tests {
                 Boundary::Reflective,
                 &policy,
                 0,
+                None,
             )
+            .map(|(report, _)| report)
         });
         for err in errs {
             assert_eq!(

@@ -17,25 +17,19 @@ use nbody_physics::particle::reset_forces;
 use nbody_physics::{Boundary, Domain, ForceLaw, Integrator, Particle};
 use nbody_simhealth::{scan_forces, scan_state, HealthConfig, HealthReport, Invariants};
 
+use crate::allpairs::{ca_all_pairs_forces, ca_all_pairs_forces_ft};
 use crate::baselines::{
     force_decomposition_forces, naive_allgather_forces, particle_ring_forces,
 };
-use crate::cutoff::ca_cutoff_forces;
-use crate::dist::{
-    id_block_subset, spatial_subset_1d, spatial_subset_2d, team_grid_dims, team_of_x, team_of_xy,
-};
-use crate::grid::{GridComms, ProcGrid};
+use crate::cutoff::{ca_cutoff_forces, ca_cutoff_forces_ft, validate_cutoff};
+use crate::dist::id_block_subset;
+use crate::grid::{GridComms, GridError, ProcGrid};
 use crate::midpoint::midpoint_forces;
 use crate::probe::StepProbe;
 use crate::reassign::reassign_particles;
-use crate::recovery::{
-    ca_all_pairs_forces_ft_health, ca_cutoff_forces_ft_health, FaultError, HealthMonitor,
-    RecoveryReport, RetryPolicy,
-};
+use crate::recovery::{FaultError, HealthMonitor, RecoveryReport, RetryPolicy};
 use crate::spatial::spatial_halo_forces;
-use crate::window::{Window1d, Window2d};
-use crate::window_periodic::{Window1dPeriodic, Window2dPeriodic};
-use crate::{allpairs::ca_all_pairs_forces, cutoff::validate_cutoff};
+use crate::window::AnyWindow;
 
 /// Which parallel decomposition evaluates forces.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -170,25 +164,10 @@ where
 /// (`step` / `integrate` / `force` / `reassign`, per timestep) is recorded
 /// against a shared epoch and returned merged across ranks, together with
 /// the live metrics snapshot (per-rank communication counters, message-size
-/// histograms, and memory high-water marks) for optimality auditing.
-pub fn run_distributed_traced<F, I>(
-    cfg: &SimConfig<F, I>,
-    method: Method,
-    p: usize,
-    initial: &[Particle],
-) -> (RunResult, ExecutionTrace, MetricsSnapshot)
-where
-    F: ForceLaw + Sync,
-    I: Integrator + Sync,
-{
-    let (result, trace, metrics, _) = run_distributed_recorded(cfg, method, p, initial);
-    (result, trace, metrics)
-}
-
-/// [`run_distributed_traced`] returning the per-step [`RunTimeline`] as
-/// well: each rank samples its communication/compute deltas at every
-/// timestep boundary (decimated 2:1 when the series ring fills), feeding
-/// the live dashboard and the drift detector.
+/// histograms, and memory high-water marks) for optimality auditing, and
+/// the per-step [`RunTimeline`]: each rank samples its communication and
+/// compute deltas at every timestep boundary (decimated 2:1 when the series
+/// ring fills), feeding the live dashboard and the drift detector.
 pub fn run_distributed_recorded<F, I>(
     cfg: &SimConfig<F, I>,
     method: Method,
@@ -307,34 +286,18 @@ where
     F: ForceLaw + Sync,
     I: Integrator + Sync,
 {
-    run_distributed_chaos_recorded(cfg, method, p, plan, policy, initial).0
+    run_distributed_durable(cfg, method, p, plan, policy, None, initial).0
 }
 
 /// [`run_distributed_chaos`] returning the per-step [`RunTimeline`] as
-/// well. The timeline is produced **even when the run fails**: on an
-/// agreed [`FaultError`] it is a postmortem bundle
-/// ([`RunTimeline::is_postmortem`]) carrying each rank's final flight-ring
-/// events and the failure reason marked by the recovery layer.
-pub fn run_distributed_chaos_recorded<F, I>(
-    cfg: &SimConfig<F, I>,
-    method: Method,
-    p: usize,
-    plan: &FaultPlan,
-    policy: &RetryPolicy,
-    initial: &[Particle],
-) -> (Result<ChaosRunResult, FaultError>, RunTimeline)
-where
-    F: ForceLaw + Sync,
-    I: Integrator + Sync,
-{
-    run_distributed_durable(cfg, method, p, plan, policy, None, initial)
-}
-
-/// [`run_distributed_chaos_recorded`] with a durable checkpoint sink: on
-/// the configured cadence the leaders' blocks are gathered and persisted
-/// as an atomic versioned bundle, so the run can be killed at any point
-/// and resumed from the last completed checkpoint (`run --resume`). With
-/// `ckpt = None` this *is* `run_distributed_chaos_recorded`.
+/// well, with an optional durable checkpoint sink. The timeline is
+/// produced **even when the run fails**: on an agreed [`FaultError`] it is
+/// a postmortem bundle ([`RunTimeline::is_postmortem`]) carrying each
+/// rank's final flight-ring events and the failure reason marked by the
+/// recovery layer. With `ckpt`, on the configured cadence the leaders'
+/// blocks are gathered and persisted as an atomic versioned bundle, so the
+/// run can be killed at any point and resumed from the last completed
+/// checkpoint (`run --resume`).
 pub fn run_distributed_durable<F, I>(
     cfg: &SimConfig<F, I>,
     method: Method,
@@ -348,15 +311,21 @@ where
     F: ForceLaw + Sync,
     I: Integrator + Sync,
 {
-    let (res, timeline) = run_chaos_inner(cfg, method, p, plan, policy, ckpt, None, initial);
+    let rc = Recovery {
+        policy,
+        ckpt,
+        health: None,
+    };
+    let (res, timeline) = run_chaos_inner(cfg, method, p, plan, rc, initial);
     (res.map(|(r, _)| r), timeline)
 }
 
-/// [`run_distributed_chaos_recorded`] with the numerical-health monitors
-/// on: every step the ranks' partial kinetic/momentum/potential sums are
-/// reduced once world-wide into the timeline's energy/momentum series,
-/// non-finite sentinels scan forces and integrated state (aborting into a
-/// postmortem with the blamed rank/particle/field on first trigger), and
+/// [`run_distributed_durable`] (without a checkpoint sink) with the
+/// numerical-health monitors on: every step the ranks' partial
+/// kinetic/momentum/potential sums are reduced once world-wide into the
+/// timeline's energy/momentum series, non-finite sentinels scan forces and
+/// integrated state (aborting into a postmortem with the blamed
+/// rank/particle/field on first trigger), and
 /// every recovery attempt cross-checks replica state fingerprints down
 /// each column (a diverged replica is re-seeded from its column majority
 /// and counted in [`HealthReport::fingerprint_mismatches`]).
@@ -377,23 +346,24 @@ where
     F: ForceLaw + Sync,
     I: Integrator + Sync,
 {
-    let (res, timeline) =
-        run_chaos_inner(cfg, method, p, plan, policy, None, Some(health), initial);
+    let rc = Recovery {
+        policy,
+        ckpt: None,
+        health: Some(health),
+    };
+    let (res, timeline) = run_chaos_inner(cfg, method, p, plan, rc, initial);
     (
         res.map(|(r, h)| (r, h.expect("health runs always produce a report"))),
         timeline,
     )
 }
 
-#[allow(clippy::too_many_arguments)]
 fn run_chaos_inner<F, I>(
     cfg: &SimConfig<F, I>,
     method: Method,
     p: usize,
     plan: &FaultPlan,
-    policy: &RetryPolicy,
-    ckpt: Option<&CheckpointConfig>,
-    health: Option<&HealthConfig>,
+    rc: Recovery<'_>,
     initial: &[Particle],
 ) -> (
     Result<(ChaosRunResult, Option<HealthReport>), FaultError>,
@@ -405,15 +375,16 @@ where
 {
     validate_run(cfg, method);
     let (out, trace, metrics, timeline) = run_ranks_chaos_traced(p, plan, |world| {
-        run_rank_ft(cfg, method, world, initial, policy, ckpt, health)
+        run_rank_ca(cfg, method, world, initial, Some(rc))
     });
     (assemble_chaos(out, initial.len(), metrics, trace), timeline)
 }
 
-/// [`run_distributed_chaos_recorded`] with wire probes on: the returned
-/// [`WireLog`] carries every protocol message *and* every injected fault
-/// as first-class events, so a conformance check can attribute each
-/// discrepancy between observed and scheduled traffic to the fault plan.
+/// [`run_distributed_durable`] (without a checkpoint sink) with wire
+/// probes on: the returned [`WireLog`] carries every protocol message
+/// *and* every injected fault as first-class events, so a conformance
+/// check can attribute each discrepancy between observed and scheduled
+/// traffic to the fault plan.
 /// Like the timeline, the log is produced even when the run fails.
 pub fn run_distributed_chaos_wired<F, I>(
     cfg: &SimConfig<F, I>,
@@ -428,8 +399,13 @@ where
     I: Integrator + Sync,
 {
     validate_run(cfg, method);
+    let rc = Recovery {
+        policy,
+        ckpt: None,
+        health: None,
+    };
     let (out, trace, metrics, timeline, wire) = run_ranks_chaos_probed(p, plan, |world| {
-        run_rank_ft(cfg, method, world, initial, policy, None, None)
+        run_rank_ca(cfg, method, world, initial, Some(rc))
     });
     (
         assemble_chaos(out, initial.len(), metrics, trace).map(|(r, _)| r),
@@ -755,25 +731,138 @@ fn health_reduce<C: Communicator>(
     Ok((energy, momentum))
 }
 
-/// Per-rank body of a chaos run: the CA drivers with fault-tolerant force
-/// evaluations (`epoch` = timestep index for tag namespacing), degraded
-/// shrinking when whole columns die, and the optional durable checkpoint
-/// sink on its cadence.
-fn run_rank_ft<F, I, C>(
+/// The recovery context of a fault-tolerant CA run.
+#[derive(Clone, Copy)]
+struct Recovery<'a> {
+    /// Retry policy of every force evaluation.
+    policy: &'a RetryPolicy,
+    /// Durable checkpoint sink, persisted on its cadence.
+    ckpt: Option<&'a CheckpointConfig>,
+    /// Numerical-health monitors, checked on their cadence.
+    health: Option<&'a HealthConfig>,
+}
+
+/// The per-method parts of the CA timestep loop on one processor grid.
+struct CaLayout {
+    grid: ProcGrid,
+    /// The cutoff methods' window over the spatial team grid; `None` for
+    /// all-pairs, which distributes id blocks and never re-assigns.
+    window: Option<AnyWindow>,
+}
+
+impl CaLayout {
+    /// The layout of CA `method` on `p` ranks with replication `c`.
+    fn new<F: ForceLaw, I>(
+        cfg: &SimConfig<F, I>,
+        method: Method,
+        p: usize,
+        c: usize,
+    ) -> Result<CaLayout, GridError> {
+        let two_d = match method {
+            Method::CaAllPairs { .. } => {
+                let grid = ProcGrid::new_all_pairs(p, c)?;
+                return Ok(CaLayout { grid, window: None });
+            }
+            Method::Ca1dCutoff { .. } => false,
+            Method::Ca2dCutoff { .. } => true,
+            _ => panic!(
+                "{method:?} has no fault-tolerant driver; chaos runs support the CA methods \
+                 (ca-all-pairs, ca-1d-cutoff, ca-2d-cutoff)"
+            ),
+        };
+        let grid = ProcGrid::new(p, c)?;
+        let r_c = cfg
+            .law
+            .cutoff()
+            .expect("validated: cutoff methods have a cutoff law");
+        let window = AnyWindow::from_cutoff(&cfg.domain, grid.teams(), two_d, cfg.boundary, r_c);
+        Ok(CaLayout {
+            grid,
+            window: Some(window),
+        })
+    }
+
+    /// The layout of `method` on the `p` survivors of a shrink: the largest
+    /// replication up to the current one whose grid is valid and, for the
+    /// cutoff methods, still fits inside the window (`c ≤ W`). `None` when
+    /// no replication qualifies — an agreed verdict, since every survivor
+    /// runs the same deterministic search. (`c = 1` always qualifies for
+    /// all-pairs: every rank is its own team.)
+    fn shrink<F: ForceLaw, I>(
+        &self,
+        cfg: &SimConfig<F, I>,
+        method: Method,
+        p: usize,
+    ) -> Option<CaLayout> {
+        (1..=self.grid.c()).rev().find_map(|c| {
+            let next = CaLayout::new(cfg, method, p, c).ok()?;
+            let fits = next
+                .window
+                .is_none_or(|w| validate_cutoff(&w, next.grid.teams(), c).is_ok());
+            fits.then_some(next)
+        })
+    }
+
+    /// This rank's block of `all`: its team's share on leaders, empty on
+    /// the other rows.
+    fn distribute<C: Communicator>(
+        &self,
+        gc: &GridComms<C>,
+        all: &[Particle],
+        domain: &Domain,
+    ) -> Vec<Particle> {
+        match &self.window {
+            _ if !gc.is_leader() => Vec::new(),
+            None => id_block_subset(all, self.grid.teams(), gc.team()),
+            Some(w) => w.subset(all, domain, gc.team()),
+        }
+    }
+
+    /// One force evaluation: the plain driver without `ft`, the
+    /// fault-tolerant one under `ft = (policy, epoch, health)` with it.
+    /// The plain driver cannot fail and harvests no potential.
+    fn forces<C: Communicator, F: ForceLaw, I>(
+        &self,
+        gc: &GridComms<C>,
+        st: &mut Vec<Particle>,
+        cfg: &SimConfig<F, I>,
+        ft: Option<(&RetryPolicy, u64, Option<&HealthMonitor>)>,
+    ) -> Result<(RecoveryReport, f64), FaultError> {
+        let (law, domain, boundary) = (&cfg.law, &cfg.domain, cfg.boundary);
+        let Some((policy, epoch, health)) = ft else {
+            match &self.window {
+                None => ca_all_pairs_forces(gc, st, law, domain, boundary),
+                Some(w) => ca_cutoff_forces(gc, w, st, law, domain, boundary),
+            }
+            return Ok((RecoveryReport::default(), 0.0));
+        };
+        match &self.window {
+            None => ca_all_pairs_forces_ft(gc, st, law, domain, boundary, policy, epoch, health),
+            Some(w) => ca_cutoff_forces_ft(gc, w, st, law, domain, boundary, policy, epoch, health),
+        }
+    }
+}
+
+/// Per-rank body of every CA run (all-pairs and both cutoff methods).
+///
+/// Without a recovery context this is the plain timestep loop: integrate,
+/// plain force evaluation, integrate, re-assign (cutoff methods), with no
+/// checkpoint copy and no recovery traffic. With one, every force
+/// evaluation is fault-tolerant (tag epoch = timestep index), an agreed
+/// loss of whole columns shrinks the world onto the survivors, and the
+/// health monitors and the durable checkpoint sink run on their cadences.
+fn run_rank_ca<F, I, C>(
     cfg: &SimConfig<F, I>,
     method: Method,
     world: &mut C,
     initial: &[Particle],
-    policy: &RetryPolicy,
-    ckpt: Option<&CheckpointConfig>,
-    health: Option<&HealthConfig>,
-) -> Result<(Vec<Particle>, CommStats, RecoveryReport, Option<HealthReport>), FaultError>
+    rc: Option<Recovery<'_>>,
+) -> RankOutcome
 where
     F: ForceLaw,
     I: Integrator,
     C: Communicator,
 {
-    let p = world.size();
     let domain = &cfg.domain;
     let tr = world.tracer();
     let mut probe = StepProbe::new(world);
@@ -781,6 +870,8 @@ where
         attempts: 1,
         ..RecoveryReport::default()
     };
+    let ckpt = rc.and_then(|r| r.ckpt);
+    let health = rc.and_then(|r| r.health);
     // Per-rank numerical-health state. The monitor's injection identities
     // key off the *launch* world rank, which every rank keeps across
     // shrinks, so a seeded fault lands on the intended rank regardless of
@@ -804,339 +895,100 @@ where
     // borrowed launch world stays behind only for rank-local telemetry
     // (stats and recorders are shared across splits).
     let mut shrunk: Option<C> = None;
-    match method {
-        Method::CaAllPairs { c } => {
-            let mut grid = ProcGrid::new_all_pairs(p, c).expect("invalid all-pairs grid");
-            let mut gc = GridComms::new(world, grid);
-            let mut st = if gc.is_leader() {
-                id_block_subset(initial, grid.teams(), gc.team())
-            } else {
-                Vec::new()
-            };
-            for step in 0..cfg.steps {
-                let _step_g = tr.driver_span("step", step);
-                if gc.is_leader() {
-                    let _g = tr.driver_span("integrate", step);
-                    cfg.integrator.pre_force(&mut st, cfg.dt);
-                    reset_forces(&mut st);
-                }
-                // A ColumnsLost verdict shrinks the world onto the
-                // survivors and re-runs this step's evaluation there.
-                let (rep, pe_partial) = loop {
-                    let r = {
-                        let _g = tr.driver_span("force", step);
-                        ca_all_pairs_forces_ft_health(
-                            &gc,
-                            &mut st,
-                            &cfg.law,
-                            domain,
-                            cfg.boundary,
-                            policy,
-                            step as u64,
-                            hm.as_ref(),
-                        )
-                    };
-                    match r {
-                        Ok(rep) => break rep,
-                        Err(FaultError::ColumnsLost { dead_teams, .. }) => {
-                            let was_leader = gc.is_leader();
-                            let cur: &C = shrunk.as_ref().unwrap_or(world);
-                            match shrink_world(
-                                cur, &grid, &dead_teams, was_leader, &st, &mut live_n, &mut agg,
-                                step,
-                            ) {
-                                None => {
-                                    return Ok((
-                                        Vec::new(),
-                                        world.stats(),
-                                        agg,
-                                        health.map(|_| hreport),
-                                    ))
-                                }
-                                Some((next, full)) => {
-                                    let p_new = next.size();
-                                    // The largest replication the survivor
-                                    // count still supports (c' = 1 always
-                                    // qualifies: every rank its own team).
-                                    let c_new = (1..=grid.c())
-                                        .rev()
-                                        .find(|&cc| ProcGrid::new_all_pairs(p_new, cc).is_ok())
-                                        .expect("c = 1 is always a valid all-pairs grid");
-                                    grid = ProcGrid::new_all_pairs(p_new, c_new).unwrap();
-                                    gc = GridComms::new(&next, grid);
-                                    shrunk = Some(next);
-                                    st = if gc.is_leader() {
-                                        id_block_subset(&full, grid.teams(), gc.team())
-                                    } else {
-                                        Vec::new()
-                                    };
-                                }
-                            }
-                        }
-                        Err(e) => return Err(e),
-                    }
-                };
-                agg.attempts = agg.attempts.max(rep.attempts);
-                agg.recovered |= rep.recovered;
-                hreport.fingerprint_mismatches += rep.fingerprint_mismatches as u64;
-                let checked = health.is_some_and(|h| h.checks_step(step as u64));
-                let mut blame = None;
-                if let Some(h) = health {
-                    if checked {
-                        blame = health_scan_forces(
-                            world,
-                            h,
-                            &mut nan_fired,
-                            gc.is_leader(),
-                            &mut st,
-                            step,
-                        );
-                    }
-                }
-                if gc.is_leader() {
-                    let _g = tr.driver_span("integrate", step);
-                    cfg.integrator
-                        .post_force(&mut st, cfg.dt, domain, cfg.boundary);
-                } else {
-                    st.clear();
-                }
-                let mut sampled = (0.0, 0.0);
-                if checked {
-                    if blame.is_none() {
-                        blame = health_scan_state(world, gc.is_leader(), &st, step);
-                    }
-                    let inv = if gc.is_leader() {
-                        Invariants::partial(&st)
-                    } else {
-                        Invariants::default()
-                    };
-                    let cur: &C = shrunk.as_ref().unwrap_or(world);
-                    sampled = health_reduce(cur, blame, inv, pe_partial, step, &mut hreport)?;
-                }
-                if let Some(ck) = ckpt {
-                    let done = ck.base_step + step as u64 + 1;
-                    if done.is_multiple_of(ck.every as u64) || ck.crash_at == Some(done) {
-                        let cur: &C = shrunk.as_ref().unwrap_or(world);
-                        persist_checkpoint(cur, &grid, gc.is_leader(), &st, ck, done);
-                    }
-                }
-                probe.sample_with(world, step, st.len(), sampled.0, sampled.1);
-            }
-            let owned = if gc.is_leader() { st } else { Vec::new() };
-            Ok((owned, world.stats(), agg, health.map(|_| hreport)))
+    let mut layout = CaLayout::new(cfg, method, world.size(), method.replication())
+        .unwrap_or_else(|e| panic!("invalid {method:?} grid: {e}"));
+    let mut gc = GridComms::new(world, layout.grid);
+    let mut st = layout.distribute(&gc, initial, domain);
+    for step in 0..cfg.steps {
+        let _step_g = tr.driver_span("step", step);
+        if gc.is_leader() {
+            let _g = tr.driver_span("integrate", step);
+            cfg.integrator.pre_force(&mut st, cfg.dt);
+            reset_forces(&mut st);
         }
-        Method::Ca1dCutoff { c } | Method::Ca2dCutoff { c } => {
-            let two_d = matches!(method, Method::Ca2dCutoff { .. });
-            let mut grid = ProcGrid::new(p, c).expect("invalid cutoff grid");
-            let mut gc = GridComms::new(world, grid);
-            let mut teams = grid.teams();
-            let r_c = cfg.law.cutoff().unwrap();
-            let (mut tx, mut ty) = if two_d {
-                team_grid_dims(teams)
-            } else {
-                (teams, 1)
+        // A ColumnsLost verdict shrinks the world onto the survivors and
+        // re-runs this step's evaluation there.
+        let (rep, pe_partial) = loop {
+            let ft = rc.map(|r| (r.policy, step as u64, hm.as_ref()));
+            let r = {
+                let _g = tr.driver_span("force", step);
+                layout.forces(&gc, &mut st, cfg, ft)
             };
-            let mut st = if gc.is_leader() {
-                if two_d {
-                    spatial_subset_2d(initial, domain, tx, ty, gc.team())
-                } else {
-                    spatial_subset_1d(initial, domain, teams, gc.team())
-                }
-            } else {
-                Vec::new()
+            let dead_teams = match r {
+                Ok(done) => break done,
+                Err(FaultError::ColumnsLost { dead_teams, .. }) => dead_teams,
+                Err(e) => return Err(e),
             };
-            let periodic = cfg.boundary == Boundary::Periodic;
-            // Whether a shrunken grid with replication `cc` on `p_new`
-            // ranks still satisfies the cutoff constraint (c ≤ window).
-            let valid_c = |p_new: usize, cc: usize| -> bool {
-                if !p_new.is_multiple_of(cc) || ProcGrid::new(p_new, cc).is_err() {
-                    return false;
-                }
-                let tn = p_new / cc;
-                let (txn, tyn) = if two_d { team_grid_dims(tn) } else { (tn, 1) };
-                match (two_d, periodic) {
-                    (true, false) => {
-                        validate_cutoff(&Window2d::from_cutoff(domain, txn, tyn, r_c), tn, cc)
-                            .is_ok()
-                    }
-                    (true, true) => validate_cutoff(
-                        &Window2dPeriodic::from_cutoff(domain, txn, tyn, r_c),
-                        tn,
-                        cc,
-                    )
-                    .is_ok(),
-                    (false, false) => {
-                        validate_cutoff(&Window1d::from_cutoff(domain, tn, r_c), tn, cc).is_ok()
-                    }
-                    (false, true) => {
-                        validate_cutoff(&Window1dPeriodic::from_cutoff(domain, tn, r_c), tn, cc)
-                            .is_ok()
-                    }
-                }
+            let cur: &C = shrunk.as_ref().unwrap_or(world);
+            let Some((next, full)) = shrink_world(
+                cur,
+                &layout.grid,
+                &dead_teams,
+                gc.is_leader(),
+                &st,
+                &mut live_n,
+                &mut agg,
+                step,
+            ) else {
+                return Ok((Vec::new(), world.stats(), agg, health.map(|_| hreport)));
             };
-            for step in 0..cfg.steps {
-                let _step_g = tr.driver_span("step", step);
-                if gc.is_leader() {
-                    let _g = tr.driver_span("integrate", step);
-                    cfg.integrator.pre_force(&mut st, cfg.dt);
-                    reset_forces(&mut st);
-                }
-                let (rep, pe_partial) = loop {
-                    let r = {
-                        let _g = tr.driver_span("force", step);
-                        match (two_d, periodic) {
-                            (true, false) => {
-                                let window = Window2d::from_cutoff(domain, tx, ty, r_c);
-                                ca_cutoff_forces_ft_health(
-                                    &gc, &window, &mut st, &cfg.law, domain, cfg.boundary, policy,
-                                    step as u64, hm.as_ref(),
-                                )
-                            }
-                            (true, true) => {
-                                let window = Window2dPeriodic::from_cutoff(domain, tx, ty, r_c);
-                                ca_cutoff_forces_ft_health(
-                                    &gc, &window, &mut st, &cfg.law, domain, cfg.boundary, policy,
-                                    step as u64, hm.as_ref(),
-                                )
-                            }
-                            (false, false) => {
-                                let window = Window1d::from_cutoff(domain, teams, r_c);
-                                ca_cutoff_forces_ft_health(
-                                    &gc, &window, &mut st, &cfg.law, domain, cfg.boundary, policy,
-                                    step as u64, hm.as_ref(),
-                                )
-                            }
-                            (false, true) => {
-                                let window = Window1dPeriodic::from_cutoff(domain, teams, r_c);
-                                ca_cutoff_forces_ft_health(
-                                    &gc, &window, &mut st, &cfg.law, domain, cfg.boundary, policy,
-                                    step as u64, hm.as_ref(),
-                                )
-                            }
-                        }
-                    };
-                    match r {
-                        Ok(rep) => break rep,
-                        Err(FaultError::ColumnsLost { dead_teams, .. }) => {
-                            let was_leader = gc.is_leader();
-                            let cur: &C = shrunk.as_ref().unwrap_or(world);
-                            match shrink_world(
-                                cur, &grid, &dead_teams, was_leader, &st, &mut live_n, &mut agg,
-                                step,
-                            ) {
-                                None => {
-                                    return Ok((
-                                        Vec::new(),
-                                        world.stats(),
-                                        agg,
-                                        health.map(|_| hreport),
-                                    ))
-                                }
-                                Some((next, full)) => {
-                                    let p_new = next.size();
-                                    let Some(c_new) =
-                                        (1..=grid.c()).rev().find(|&cc| valid_c(p_new, cc))
-                                    else {
-                                        // No shrunken grid satisfies the
-                                        // cutoff constraint: agreed, since
-                                        // every survivor evaluates the same
-                                        // deterministic predicate.
-                                        return Err(FaultError::Unrecoverable {
-                                            rank: world.rank(),
-                                            c: grid.c(),
-                                        });
-                                    };
-                                    grid = ProcGrid::new(p_new, c_new).unwrap();
-                                    gc = GridComms::new(&next, grid);
-                                    shrunk = Some(next);
-                                    teams = grid.teams();
-                                    (tx, ty) = if two_d {
-                                        team_grid_dims(teams)
-                                    } else {
-                                        (teams, 1)
-                                    };
-                                    st = if gc.is_leader() {
-                                        if two_d {
-                                            spatial_subset_2d(&full, domain, tx, ty, gc.team())
-                                        } else {
-                                            spatial_subset_1d(&full, domain, teams, gc.team())
-                                        }
-                                    } else {
-                                        Vec::new()
-                                    };
-                                }
-                            }
-                        }
-                        Err(e) => return Err(e),
-                    }
-                };
-                agg.attempts = agg.attempts.max(rep.attempts);
-                agg.recovered |= rep.recovered;
-                hreport.fingerprint_mismatches += rep.fingerprint_mismatches as u64;
-                let checked = health.is_some_and(|h| h.checks_step(step as u64));
-                let mut blame = None;
-                if let Some(h) = health {
-                    if checked {
-                        blame = health_scan_forces(
-                            world,
-                            h,
-                            &mut nan_fired,
-                            gc.is_leader(),
-                            &mut st,
-                            step,
-                        );
-                    }
-                }
-                if gc.is_leader() {
-                    {
-                        let _g = tr.driver_span("integrate", step);
-                        cfg.integrator
-                            .post_force(&mut st, cfg.dt, domain, cfg.boundary);
-                    }
-                    let _g = tr.driver_span("reassign", step);
-                    if two_d {
-                        reassign_particles(&gc.row, &mut st, |q| {
-                            team_of_xy(domain, tx, ty, q.pos.x, q.pos.y)
-                        });
-                    } else {
-                        reassign_particles(&gc.row, &mut st, |q| {
-                            team_of_x(domain, teams, q.pos.x)
-                        });
-                    }
-                } else {
-                    st.clear();
-                }
-                let mut sampled = (0.0, 0.0);
-                if checked {
-                    if blame.is_none() {
-                        blame = health_scan_state(world, gc.is_leader(), &st, step);
-                    }
-                    let inv = if gc.is_leader() {
-                        Invariants::partial(&st)
-                    } else {
-                        Invariants::default()
-                    };
-                    let cur: &C = shrunk.as_ref().unwrap_or(world);
-                    sampled = health_reduce(cur, blame, inv, pe_partial, step, &mut hreport)?;
-                }
-                if let Some(ck) = ckpt {
-                    let done = ck.base_step + step as u64 + 1;
-                    if done.is_multiple_of(ck.every as u64) || ck.crash_at == Some(done) {
-                        let cur: &C = shrunk.as_ref().unwrap_or(world);
-                        persist_checkpoint(cur, &grid, gc.is_leader(), &st, ck, done);
-                    }
-                }
-                probe.sample_with(world, step, st.len(), sampled.0, sampled.1);
-            }
-            world.set_phase(Phase::Other);
-            let owned = if gc.is_leader() { st } else { Vec::new() };
-            Ok((owned, world.stats(), agg, health.map(|_| hreport)))
+            layout = layout
+                .shrink(cfg, method, next.size())
+                .ok_or(FaultError::Unrecoverable {
+                    rank: world.rank(),
+                    c: layout.grid.c(),
+                })?;
+            gc = GridComms::new(&next, layout.grid);
+            shrunk = Some(next);
+            st = layout.distribute(&gc, &full, domain);
+        };
+        agg.attempts = agg.attempts.max(rep.attempts);
+        agg.recovered |= rep.recovered;
+        hreport.fingerprint_mismatches += rep.fingerprint_mismatches as u64;
+        let checked = health.is_some_and(|h| h.checks_step(step as u64));
+        let mut blame = None;
+        if let Some(h) = health.filter(|_| checked) {
+            blame = health_scan_forces(world, h, &mut nan_fired, gc.is_leader(), &mut st, step);
         }
-        _ => panic!(
-            "{method:?} has no fault-tolerant driver; chaos runs support the CA methods \
-             (ca-all-pairs, ca-1d-cutoff, ca-2d-cutoff)"
-        ),
+        if gc.is_leader() {
+            {
+                let _g = tr.driver_span("integrate", step);
+                cfg.integrator
+                    .post_force(&mut st, cfg.dt, domain, cfg.boundary);
+            }
+            // Keep the spatial decomposition valid for the next step.
+            if let Some(w) = &layout.window {
+                let _g = tr.driver_span("reassign", step);
+                reassign_particles(&gc.row, &mut st, |q| w.owner(domain, q.pos));
+            }
+        } else {
+            st.clear();
+        }
+        let mut sampled = (0.0, 0.0);
+        if checked {
+            if blame.is_none() {
+                blame = health_scan_state(world, gc.is_leader(), &st, step);
+            }
+            let inv = if gc.is_leader() {
+                Invariants::partial(&st)
+            } else {
+                Invariants::default()
+            };
+            let cur: &C = shrunk.as_ref().unwrap_or(world);
+            sampled = health_reduce(cur, blame, inv, pe_partial, step, &mut hreport)?;
+        }
+        if let Some(ck) = ckpt {
+            let done = ck.base_step + step as u64 + 1;
+            if done.is_multiple_of(ck.every as u64) || ck.crash_at == Some(done) {
+                let cur: &C = shrunk.as_ref().unwrap_or(world);
+                persist_checkpoint(cur, &layout.grid, gc.is_leader(), &st, ck, done);
+            }
+        }
+        probe.sample_with(world, step, st.len(), sampled.0, sampled.1);
     }
+    world.set_phase(Phase::Other);
+    let owned = if gc.is_leader() { st } else { Vec::new() };
+    Ok((owned, world.stats(), agg, health.map(|_| hreport)))
 }
 
 fn validate_run<F: ForceLaw, I>(cfg: &SimConfig<F, I>, method: Method) {
@@ -1179,40 +1031,14 @@ where
     let p = world.size();
     let domain = &cfg.domain;
     let tr = world.tracer();
-    let mut probe = StepProbe::new(world);
     match method {
-        Method::CaAllPairs { c } => {
-            let grid = ProcGrid::new_all_pairs(p, c).expect("invalid all-pairs grid");
-            let gc = GridComms::new(world, grid);
-            let mut st = if gc.is_leader() {
-                id_block_subset(initial, grid.teams(), gc.team())
-            } else {
-                Vec::new()
-            };
-            for step in 0..cfg.steps {
-                let _step_g = tr.driver_span("step", step);
-                if gc.is_leader() {
-                    let _g = tr.driver_span("integrate", step);
-                    cfg.integrator.pre_force(&mut st, cfg.dt);
-                    reset_forces(&mut st);
-                }
-                {
-                    let _g = tr.driver_span("force", step);
-                    ca_all_pairs_forces(&gc, &mut st, &cfg.law, domain, cfg.boundary);
-                }
-                if gc.is_leader() {
-                    let _g = tr.driver_span("integrate", step);
-                    cfg.integrator
-                        .post_force(&mut st, cfg.dt, domain, cfg.boundary);
-                } else {
-                    st.clear();
-                }
-                probe.sample(world, step, st.len());
-            }
-            let owned = if gc.is_leader() { st } else { Vec::new() };
-            (owned, world.stats())
+        Method::CaAllPairs { .. } | Method::Ca1dCutoff { .. } | Method::Ca2dCutoff { .. } => {
+            let (owned, stats, ..) = run_rank_ca(cfg, method, world, initial, None)
+                .expect("a plain CA run has no fault path");
+            (owned, stats)
         }
         Method::ParticleRing | Method::ParticleRingSymmetric | Method::NaiveAllgather => {
+            let mut probe = StepProbe::new(world);
             let mut my = id_block_subset(initial, p, world.rank());
             for step in 0..cfg.steps {
                 let _step_g = tr.driver_span("step", step);
@@ -1245,6 +1071,7 @@ where
             (my, world.stats())
         }
         Method::ForceDecomposition => {
+            let mut probe = StepProbe::new(world);
             let q = (p as f64).sqrt().round() as usize;
             assert_eq!(q * q, p, "force decomposition needs square p");
             let (i, j) = (world.rank() / q, world.rank() % q);
@@ -1273,127 +1100,30 @@ where
             }
             (st, world.stats())
         }
-        Method::Ca1dCutoff { c } | Method::Ca2dCutoff { c } => {
-            let two_d = matches!(method, Method::Ca2dCutoff { .. });
-            let grid = ProcGrid::new(p, c).expect("invalid cutoff grid");
-            let gc = GridComms::new(world, grid);
-            let teams = grid.teams();
+        Method::Midpoint1d | Method::Midpoint2d | Method::SpatialHalo1d | Method::SpatialHalo2d => {
+            let mut probe = StepProbe::new(world);
+            let midpoint = matches!(method, Method::Midpoint1d | Method::Midpoint2d);
+            let two_d = matches!(method, Method::Midpoint2d | Method::SpatialHalo2d);
             let r_c = cfg.law.cutoff().unwrap();
-            let (tx, ty) = if two_d {
-                team_grid_dims(teams)
-            } else {
-                (teams, 1)
-            };
-            let mut st = if gc.is_leader() {
-                if two_d {
-                    spatial_subset_2d(initial, domain, tx, ty, gc.team())
-                } else {
-                    spatial_subset_1d(initial, domain, teams, gc.team())
-                }
-            } else {
-                Vec::new()
-            };
-            let periodic = cfg.boundary == Boundary::Periodic;
+            // The midpoint method imports a half-span region.
+            let span = if midpoint { r_c / 2.0 } else { r_c };
+            let window = AnyWindow::from_cutoff(domain, p, two_d, cfg.boundary, span);
+            let owner = |pos| window.owner(domain, pos);
+            let mut my = window.subset(initial, domain, world.rank());
             for step in 0..cfg.steps {
                 let _step_g = tr.driver_span("step", step);
-                if gc.is_leader() {
+                {
                     let _g = tr.driver_span("integrate", step);
-                    cfg.integrator.pre_force(&mut st, cfg.dt);
-                    reset_forces(&mut st);
+                    cfg.integrator.pre_force(&mut my, cfg.dt);
+                    reset_forces(&mut my);
                 }
-                // Periodic boundaries take the wrap-around windows; the
-                // paper's non-periodic setting takes the clipped ones.
                 {
                     let _g = tr.driver_span("force", step);
-                    match (two_d, periodic) {
-                        (true, false) => {
-                            let window = Window2d::from_cutoff(domain, tx, ty, r_c);
-                            validate_cutoff(&window, teams, c).expect("invalid 2D cutoff config");
-                            ca_cutoff_forces(&gc, &window, &mut st, &cfg.law, domain, cfg.boundary);
-                        }
-                        (true, true) => {
-                            let window = Window2dPeriodic::from_cutoff(domain, tx, ty, r_c);
-                            validate_cutoff(&window, teams, c).expect("invalid 2D cutoff config");
-                            ca_cutoff_forces(&gc, &window, &mut st, &cfg.law, domain, cfg.boundary);
-                        }
-                        (false, false) => {
-                            let window = Window1d::from_cutoff(domain, teams, r_c);
-                            validate_cutoff(&window, teams, c).expect("invalid 1D cutoff config");
-                            ca_cutoff_forces(&gc, &window, &mut st, &cfg.law, domain, cfg.boundary);
-                        }
-                        (false, true) => {
-                            let window = Window1dPeriodic::from_cutoff(domain, teams, r_c);
-                            validate_cutoff(&window, teams, c).expect("invalid 1D cutoff config");
-                            ca_cutoff_forces(&gc, &window, &mut st, &cfg.law, domain, cfg.boundary);
-                        }
-                    }
-                }
-                if gc.is_leader() {
-                    {
-                        let _g = tr.driver_span("integrate", step);
-                        cfg.integrator
-                            .post_force(&mut st, cfg.dt, domain, cfg.boundary);
-                    }
-                    // Keep the spatial decomposition valid for the next step.
-                    let _g = tr.driver_span("reassign", step);
-                    if two_d {
-                        reassign_particles(&gc.row, &mut st, |q| {
-                            team_of_xy(domain, tx, ty, q.pos.x, q.pos.y)
-                        });
+                    let (law, boundary) = (&cfg.law, cfg.boundary);
+                    if midpoint {
+                        midpoint_forces(world, &window, &mut my, law, domain, boundary, owner);
                     } else {
-                        reassign_particles(&gc.row, &mut st, |q| {
-                            team_of_x(domain, teams, q.pos.x)
-                        });
-                    }
-                } else {
-                    st.clear();
-                }
-                probe.sample(world, step, st.len());
-            }
-            world.set_phase(Phase::Other);
-            let owned = if gc.is_leader() { st } else { Vec::new() };
-            (owned, world.stats())
-        }
-        Method::Midpoint1d | Method::Midpoint2d => {
-            let two_d = matches!(method, Method::Midpoint2d);
-            let r_c = cfg.law.cutoff().unwrap();
-            let (tx, ty) = if two_d { team_grid_dims(p) } else { (p, 1) };
-            let mut my = if two_d {
-                spatial_subset_2d(initial, domain, tx, ty, world.rank())
-            } else {
-                spatial_subset_1d(initial, domain, p, world.rank())
-            };
-            let periodic = cfg.boundary == Boundary::Periodic;
-            for step in 0..cfg.steps {
-                let _step_g = tr.driver_span("step", step);
-                {
-                    let _g = tr.driver_span("integrate", step);
-                    cfg.integrator.pre_force(&mut my, cfg.dt);
-                    reset_forces(&mut my);
-                }
-                {
-                    let _g = tr.driver_span("force", step);
-                    match (two_d, periodic) {
-                        (true, false) => {
-                            let window = Window2d::from_cutoff(domain, tx, ty, r_c / 2.0);
-                            midpoint_forces(world, &window, &mut my, &cfg.law, domain, cfg.boundary,
-                                |pos| team_of_xy(domain, tx, ty, pos.x, pos.y));
-                        }
-                        (true, true) => {
-                            let window = Window2dPeriodic::from_cutoff(domain, tx, ty, r_c / 2.0);
-                            midpoint_forces(world, &window, &mut my, &cfg.law, domain, cfg.boundary,
-                                |pos| team_of_xy(domain, tx, ty, pos.x, pos.y));
-                        }
-                        (false, false) => {
-                            let window = Window1d::from_cutoff(domain, p, r_c / 2.0);
-                            midpoint_forces(world, &window, &mut my, &cfg.law, domain, cfg.boundary,
-                                |pos| team_of_x(domain, p, pos.x));
-                        }
-                        (false, true) => {
-                            let window = Window1dPeriodic::from_cutoff(domain, p, r_c / 2.0);
-                            midpoint_forces(world, &window, &mut my, &cfg.law, domain, cfg.boundary,
-                                |pos| team_of_x(domain, p, pos.x));
-                        }
+                        spatial_halo_forces(world, &window, &mut my, law, domain, boundary);
                     }
                 }
                 {
@@ -1402,76 +1132,7 @@ where
                         .post_force(&mut my, cfg.dt, domain, cfg.boundary);
                 }
                 let _g = tr.driver_span("reassign", step);
-                if two_d {
-                    reassign_particles(world, &mut my, |q| {
-                        team_of_xy(domain, tx, ty, q.pos.x, q.pos.y)
-                    });
-                } else {
-                    reassign_particles(world, &mut my, |q| team_of_x(domain, p, q.pos.x));
-                }
-                probe.sample(world, step, my.len());
-            }
-            (my, world.stats())
-        }
-        Method::SpatialHalo1d | Method::SpatialHalo2d => {
-            let two_d = matches!(method, Method::SpatialHalo2d);
-            let r_c = cfg.law.cutoff().unwrap();
-            let (tx, ty) = if two_d { team_grid_dims(p) } else { (p, 1) };
-            let mut my = if two_d {
-                spatial_subset_2d(initial, domain, tx, ty, world.rank())
-            } else {
-                spatial_subset_1d(initial, domain, p, world.rank())
-            };
-            let periodic = cfg.boundary == Boundary::Periodic;
-            for step in 0..cfg.steps {
-                let _step_g = tr.driver_span("step", step);
-                {
-                    let _g = tr.driver_span("integrate", step);
-                    cfg.integrator.pre_force(&mut my, cfg.dt);
-                    reset_forces(&mut my);
-                }
-                {
-                    let _g = tr.driver_span("force", step);
-                    match (two_d, periodic) {
-                        (true, false) => {
-                            let window = Window2d::from_cutoff(domain, tx, ty, r_c);
-                            spatial_halo_forces(
-                                world, &window, &mut my, &cfg.law, domain, cfg.boundary,
-                            );
-                        }
-                        (true, true) => {
-                            let window = Window2dPeriodic::from_cutoff(domain, tx, ty, r_c);
-                            spatial_halo_forces(
-                                world, &window, &mut my, &cfg.law, domain, cfg.boundary,
-                            );
-                        }
-                        (false, false) => {
-                            let window = Window1d::from_cutoff(domain, p, r_c);
-                            spatial_halo_forces(
-                                world, &window, &mut my, &cfg.law, domain, cfg.boundary,
-                            );
-                        }
-                        (false, true) => {
-                            let window = Window1dPeriodic::from_cutoff(domain, p, r_c);
-                            spatial_halo_forces(
-                                world, &window, &mut my, &cfg.law, domain, cfg.boundary,
-                            );
-                        }
-                    }
-                }
-                {
-                    let _g = tr.driver_span("integrate", step);
-                    cfg.integrator
-                        .post_force(&mut my, cfg.dt, domain, cfg.boundary);
-                }
-                let _g = tr.driver_span("reassign", step);
-                if two_d {
-                    reassign_particles(world, &mut my, |q| {
-                        team_of_xy(domain, tx, ty, q.pos.x, q.pos.y)
-                    });
-                } else {
-                    reassign_particles(world, &mut my, |q| team_of_x(domain, p, q.pos.x));
-                }
+                reassign_particles(world, &mut my, |q| owner(q.pos));
                 probe.sample(world, step, my.len());
             }
             (my, world.stats())
@@ -1682,8 +1343,8 @@ mod tests {
         // slightly after the shared epoch) is well under the 10% margin.
         let initial = init::uniform(600, &cfg.domain, 13);
         let plain = run_distributed(&cfg, Method::Ca1dCutoff { c: 2 }, 8, &initial);
-        let (traced, trace, metrics) =
-            run_distributed_traced(&cfg, Method::Ca1dCutoff { c: 2 }, 8, &initial);
+        let (traced, trace, metrics, _) =
+            run_distributed_recorded(&cfg, Method::Ca1dCutoff { c: 2 }, 8, &initial);
         assert_eq!(plain.particles, traced.particles, "tracing must not perturb physics");
 
         // Live metrics ride along: every rank shipped shift messages, and
@@ -1776,7 +1437,8 @@ mod tests {
     fn traced_run_reports_driver_sections_per_step() {
         let cfg = all_pairs_cfg(4);
         let initial = init::uniform(24, &cfg.domain, 42);
-        let (_, trace, _) = run_distributed_traced(&cfg, Method::CaAllPairs { c: 2 }, 8, &initial);
+        let (_, trace, _, _) =
+            run_distributed_recorded(&cfg, Method::CaAllPairs { c: 2 }, 8, &initial);
         let reports = trace.step_reports();
         assert_eq!(reports.len(), 4, "one report per timestep");
         for (i, r) in reports.iter().enumerate() {

@@ -18,7 +18,10 @@
 //! imbalance to boundary teams having fewer interactions), so edge teams
 //! simply have truncated windows.
 
-use nbody_physics::Domain;
+use nbody_physics::{Boundary, Domain, Particle, Vec2};
+
+use crate::dist::{spatial_subset_1d, spatial_subset_2d, team_grid_dims, team_of_x, team_of_xy};
+use crate::window_periodic::{Window1dPeriodic, Window2dPeriodic};
 
 /// A traversal window over team offsets. Implementations must enumerate
 /// each needed offset exactly once, with position 0 being the zero offset.
@@ -199,6 +202,108 @@ impl Window for Window2d {
     fn apply_back(&self, team: usize, j: usize) -> Option<usize> {
         let (ox, oy) = self.offset2(j);
         self.shifted(team, -ox, -oy)
+    }
+}
+
+/// One of the four windows a spatial decomposition uses: 1D slabs or the
+/// 2D team grid, clipped or wrapped around a periodic boundary. It is
+/// picked once per grid, dispatches [`Window`] by variant, and maps
+/// positions to their owning teams, so a driver holds one value per grid.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub(crate) enum AnyWindow {
+    /// Clipped 1D slabs (Algorithm 2).
+    Slabs(Window1d),
+    /// 1D slabs on a periodic ring.
+    SlabsPeriodic(Window1dPeriodic),
+    /// Clipped 2D team grid (Fig. 5).
+    Grid(Window2d),
+    /// 2D team grid on a periodic torus.
+    GridPeriodic(Window2dPeriodic),
+}
+
+impl AnyWindow {
+    /// The window of cutoff `r_c` over `teams` teams: slabs, or the
+    /// [`team_grid_dims`] grid when `two_d`; wrapped under a periodic
+    /// `boundary`.
+    pub(crate) fn from_cutoff(
+        domain: &Domain,
+        teams: usize,
+        two_d: bool,
+        boundary: Boundary,
+        r_c: f64,
+    ) -> AnyWindow {
+        let periodic = boundary == Boundary::Periodic;
+        if two_d {
+            let (tx, ty) = team_grid_dims(teams);
+            if periodic {
+                AnyWindow::GridPeriodic(Window2dPeriodic::from_cutoff(domain, tx, ty, r_c))
+            } else {
+                AnyWindow::Grid(Window2d::from_cutoff(domain, tx, ty, r_c))
+            }
+        } else if periodic {
+            AnyWindow::SlabsPeriodic(Window1dPeriodic::from_cutoff(domain, teams, r_c))
+        } else {
+            AnyWindow::Slabs(Window1d::from_cutoff(domain, teams, r_c))
+        }
+    }
+
+    /// The 2D team-grid dimensions `(tx, ty)`; `None` for slabs.
+    fn grid_dims(&self) -> Option<(usize, usize)> {
+        match self {
+            AnyWindow::Grid(w) => Some(w.dims()),
+            AnyWindow::GridPeriodic(w) => Some(w.dims()),
+            AnyWindow::Slabs(_) | AnyWindow::SlabsPeriodic(_) => None,
+        }
+    }
+
+    /// The team whose region holds `pos`.
+    pub(crate) fn owner(&self, domain: &Domain, pos: Vec2) -> usize {
+        match self.grid_dims() {
+            Some((tx, ty)) => team_of_xy(domain, tx, ty, pos.x, pos.y),
+            None => team_of_x(domain, self.teams(), pos.x),
+        }
+    }
+
+    /// The particles of `all` inside `team`'s region.
+    pub(crate) fn subset(&self, all: &[Particle], domain: &Domain, team: usize) -> Vec<Particle> {
+        match self.grid_dims() {
+            Some((tx, ty)) => spatial_subset_2d(all, domain, tx, ty, team),
+            None => spatial_subset_1d(all, domain, self.teams(), team),
+        }
+    }
+}
+
+/// Evaluate `$body` with `$w` bound to whichever window `$any` holds.
+macro_rules! dispatch {
+    ($any:expr, $w:ident => $body:expr) => {
+        match $any {
+            AnyWindow::Slabs($w) => $body,
+            AnyWindow::SlabsPeriodic($w) => $body,
+            AnyWindow::Grid($w) => $body,
+            AnyWindow::GridPeriodic($w) => $body,
+        }
+    };
+}
+
+impl Window for AnyWindow {
+    fn len(&self) -> usize {
+        dispatch!(self, w => w.len())
+    }
+
+    fn teams(&self) -> usize {
+        dispatch!(self, w => w.teams())
+    }
+
+    fn apply(&self, team: usize, j: usize) -> Option<usize> {
+        dispatch!(self, w => w.apply(team, j))
+    }
+
+    fn apply_back(&self, team: usize, j: usize) -> Option<usize> {
+        dispatch!(self, w => w.apply_back(team, j))
+    }
+
+    fn is_periodic(&self) -> bool {
+        dispatch!(self, w => w.is_periodic())
     }
 }
 

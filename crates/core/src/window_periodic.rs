@@ -117,6 +117,11 @@ impl Window2dPeriodic {
         )
     }
 
+    /// Grid dimensions `(tx, ty)`.
+    pub(crate) fn dims(&self) -> (usize, usize) {
+        (self.tx, self.ty)
+    }
+
     #[inline]
     fn axis_offset(j: usize, w: usize) -> i64 {
         if j <= (w - 1) / 2 {

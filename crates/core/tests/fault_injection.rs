@@ -8,10 +8,13 @@ use std::time::{Duration, Instant};
 
 use ca_nbody::dist::spatial_subset_1d;
 use ca_nbody::recovery::{FaultError, RetryPolicy};
-use ca_nbody::sim::{run_distributed, run_distributed_chaos, run_serial, Method, SimConfig};
-use nbody_comm::{FaultKind, FaultPlan};
+use ca_nbody::sim::{
+    run_distributed, run_distributed_chaos, run_distributed_recorded, run_serial, Method, SimConfig,
+};
+use nbody_comm::{FaultKind, FaultPlan, Phase};
 use nbody_physics::{
-    init, Boundary, Cutoff, Domain, RepulsiveInverseSquare, SemiImplicitEuler,
+    init, Boundary, Cutoff, Domain, ForceLaw, Integrator, Particle, RepulsiveInverseSquare,
+    SemiImplicitEuler,
 };
 use proptest::prelude::*;
 
@@ -46,27 +49,66 @@ fn cutoff_cfg(steps: usize) -> SimConfig<Cutoff<RepulsiveInverseSquare>, SemiImp
     }
 }
 
+/// Run `method` plain and under a benign `plan`: the fault-tolerant run
+/// must be bit-identical without a retry. The plain run sends no recovery
+/// traffic and holds no checkpoint copy, so the fault-tolerant particle
+/// high-water mark is exactly `ratio.0 / ratio.1` of the plain one (the
+/// trajectories are identical, so the blocks behind both maxima are too).
+fn check_benign<F, I>(
+    cfg: &SimConfig<F, I>,
+    method: Method,
+    initial: &[Particle],
+    plan: &FaultPlan,
+    ratio: (u64, u64),
+) -> Result<(), TestCaseError>
+where
+    F: ForceLaw + Sync,
+    I: Integrator + Sync,
+{
+    let (plain, _, plain_metrics, _) = run_distributed_recorded(cfg, method, 8, initial);
+    let policy = RetryPolicy::with_timeout_ms(2000);
+    let got = run_distributed_chaos(cfg, method, 8, plan, &policy, initial)
+        .expect("benign faults cannot fail a run");
+    let label = format!("{method:?} {:?} plan={}", cfg.boundary, plan.spec());
+    prop_assert_eq!(&got.particles, &plain.particles, "{}", label);
+    prop_assert!(!got.recovered, "delays/dups must not retry: {}", label);
+    for s in &plain.stats {
+        let recovery = s.phase(Phase::Recovery);
+        prop_assert_eq!(recovery.messages, 0, "{}", label);
+        prop_assert_eq!(recovery.collectives, 0, "{}", label);
+    }
+    let plain_hwm = plain_metrics.max_gauge("mem_particles_hwm", None);
+    let ft_hwm = got.metrics.max_gauge("mem_particles_hwm", None);
+    prop_assert!(plain_hwm > 0, "{}", label);
+    prop_assert_eq!(ft_hwm * ratio.1, plain_hwm * ratio.0, "{}", label);
+    Ok(())
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(6))]
 
     /// Delays and duplicates are benign: no retry is even needed, and the
-    /// trajectory is bit-identical to the fault-free one at every
-    /// replication factor.
+    /// trajectory is bit-identical to the fault-free one for every CA
+    /// method and replication factor, under reflective and periodic walls.
     #[test]
     fn benign_faults_keep_trajectories_bit_identical(seed in any::<u64>()) {
+        let plan = FaultPlan::seeded(
+            seed, 8, 2, 3, &[FaultKind::Delay, FaultKind::Duplicate],
+        );
         let cfg = all_pairs_cfg(2);
         let initial = init::uniform(24, &cfg.domain, 11);
         for c in [1usize, 2] {
-            let method = Method::CaAllPairs { c };
-            let want = run_distributed(&cfg, method, 8, &initial).particles;
-            let plan = FaultPlan::seeded(
-                seed, 8, 2, 3, &[FaultKind::Delay, FaultKind::Duplicate],
-            );
-            let got = run_distributed_chaos(
-                &cfg, method, 8, &plan, &RetryPolicy::with_timeout_ms(2000), &initial,
-            ).expect("benign faults cannot fail a run");
-            prop_assert_eq!(&got.particles, &want, "c={} plan={}", c, plan.spec());
-            prop_assert!(!got.recovered, "delays/dups must not trigger recovery");
+            check_benign(&cfg, Method::CaAllPairs { c }, &initial, &plan, (3, 2))?;
+        }
+        for boundary in [Boundary::Reflective, Boundary::Periodic] {
+            let cfg = SimConfig { boundary, ..cutoff_cfg(2) };
+            for method in [
+                Method::Ca1dCutoff { c: 2 },
+                Method::Ca2dCutoff { c: 1 },
+                Method::Ca2dCutoff { c: 2 },
+            ] {
+                check_benign(&cfg, method, &initial, &plan, (4, 3))?;
+            }
         }
     }
 }

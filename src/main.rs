@@ -151,9 +151,8 @@ use ca_nbody::cutoff::validate_cutoff;
 use ca_nbody::schedule::{count_ops, AllPairsParams};
 use ca_nbody::recovery::RetryPolicy;
 use ca_nbody::{
-    expected_schedule, run_distributed, run_distributed_chaos_recorded,
-    run_distributed_chaos_wired, run_distributed_durable, run_distributed_health,
-    run_distributed_recorded, run_distributed_traced, run_distributed_wired, run_serial,
+    expected_schedule, run_distributed, run_distributed_chaos_wired, run_distributed_durable,
+    run_distributed_health, run_distributed_recorded, run_distributed_wired, run_serial,
     CheckpointConfig, Method, ProcGrid, RunResult, SimConfig, Window, Window1d, WireScheduleSpec,
 };
 use nbody_durable::{load_latest, RunFingerprint};
@@ -1324,7 +1323,7 @@ fn audit_cmd(opts: &HashMap<String, String>) -> ExitCode {
             }
             metrics
         } else {
-            let (_, _, metrics) = run_distributed_traced(&cfg, method, p, &initial);
+            let (_, _, metrics, _) = run_distributed_recorded(&cfg, method, p, &initial);
             metrics
         };
         // The same instrumented run feeds both sides of the audit: its
@@ -1788,7 +1787,7 @@ fn chaos_cmd(opts: &HashMap<String, String>) -> ExitCode {
             &[FaultKind::Delay, FaultKind::Duplicate],
         );
         runs += 1;
-        let (res, tl) = run_distributed_chaos_recorded(&cfg, method, p, &plan, &policy, &initial);
+        let (res, tl) = run_distributed_durable(&cfg, method, p, &plan, &policy, None, &initial);
         match res {
             Ok(res) => {
                 sweep_metrics.absorb(&res.metrics);
@@ -1820,7 +1819,7 @@ fn chaos_cmd(opts: &HashMap<String, String>) -> ExitCode {
         for rank in 0..p {
             let plan = FaultPlan::kill(rank, step);
             runs += 1;
-            let (res, tl) = run_distributed_chaos_recorded(&cfg, method, p, &plan, &policy, &initial);
+            let (res, tl) = run_distributed_durable(&cfg, method, p, &plan, &policy, None, &initial);
             match res {
                 Ok(res) => {
                     sweep_metrics.absorb(&res.metrics);
@@ -1871,7 +1870,7 @@ fn chaos_cmd(opts: &HashMap<String, String>) -> ExitCode {
             .join(",");
         let plan = FaultPlan::parse(&spec).expect("generated kill spec parses");
         runs += 1;
-        let (res, tl) = run_distributed_chaos_recorded(&cfg, method, p, &plan, &policy, &initial);
+        let (res, tl) = run_distributed_durable(&cfg, method, p, &plan, &policy, None, &initial);
         match res {
             Ok(res) => {
                 sweep_metrics.absorb(&res.metrics);
@@ -1915,7 +1914,7 @@ fn chaos_cmd(opts: &HashMap<String, String>) -> ExitCode {
             .join(",");
         let plan = FaultPlan::parse(&spec).expect("generated kill spec parses");
         runs += 1;
-        let (res, tl) = run_distributed_chaos_recorded(&cfg, method, p, &plan, &policy, &initial);
+        let (res, tl) = run_distributed_durable(&cfg, method, p, &plan, &policy, None, &initial);
         match res {
             Ok(res) => {
                 sweep_metrics.absorb(&res.metrics);
@@ -1954,7 +1953,7 @@ fn chaos_cmd(opts: &HashMap<String, String>) -> ExitCode {
     };
     runs += 1;
     let (res, tl) =
-        run_distributed_chaos_recorded(&cfg, m1, p, &FaultPlan::kill(p / 2, 0), &policy, &initial);
+        run_distributed_durable(&cfg, m1, p, &FaultPlan::kill(p / 2, 0), &policy, None, &initial);
     match res {
         Ok(res) => {
             sweep_metrics.absorb(&res.metrics);
@@ -1993,7 +1992,7 @@ fn chaos_cmd(opts: &HashMap<String, String>) -> ExitCode {
             .join(",");
         let plan = FaultPlan::parse(&spec).expect("generated kill spec parses");
         runs += 1;
-        let (res, tl) = run_distributed_chaos_recorded(&cfg, method, p, &plan, &policy, &initial);
+        let (res, tl) = run_distributed_durable(&cfg, method, p, &plan, &policy, None, &initial);
         match res {
             Ok(_) => {
                 failures.push("total loss must be unrecoverable, but the run succeeded".into())
@@ -2210,7 +2209,7 @@ fn soak_cmd(opts: &HashMap<String, String>) -> ExitCode {
             ],
         );
         runs += 1;
-        let (res, tl) = run_distributed_chaos_recorded(&cfg, method, p, &plan, &policy, &initial);
+        let (res, tl) = run_distributed_durable(&cfg, method, p, &plan, &policy, None, &initial);
         match res {
             Ok(res) => {
                 if res.recovered {
