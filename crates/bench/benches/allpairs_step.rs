@@ -7,7 +7,7 @@
 use ca_nbody::dist::id_block_subset;
 use ca_nbody::{ca_all_pairs_forces, GridComms, ProcGrid};
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
-use nbody_comm::{run_ranks, run_ranks_traced};
+use nbody_comm::{run_ranks, run_ranks_recorded, Lenses};
 use nbody_physics::{init, Boundary, Domain, RepulsiveInverseSquare};
 
 fn bench_ca_all_pairs(crit: &mut Criterion) {
@@ -69,7 +69,11 @@ fn bench_tracing_overhead(crit: &mut Criterion) {
     group.sample_size(10);
     group.bench_function("disabled", |bench| bench.iter(|| run_ranks(p, step)));
     group.bench_function("enabled", |bench| {
-        bench.iter(|| run_ranks_traced(p, step).1.spans.len())
+        let record = Lenses {
+            record: true,
+            wire: false,
+        };
+        bench.iter(|| run_ranks_recorded(p, record, step).trace.spans.len())
     });
     group.finish();
 }

@@ -15,7 +15,7 @@
 //!   JSON encoding from the gather and the filesystem.
 
 use ca_nbody::recovery::RetryPolicy;
-use ca_nbody::sim::{run_distributed_durable, CheckpointConfig, Method, SimConfig};
+use ca_nbody::sim::{run, CheckpointConfig, Method, Recovery, RunOptions, SimConfig};
 use criterion::{black_box, criterion_group, criterion_main, Criterion};
 use nbody_comm::FaultPlan;
 use nbody_durable::{CheckpointBundle, ColumnBlock};
@@ -43,16 +43,18 @@ fn cfg() -> SimConfig<RepulsiveInverseSquare, SemiImplicitEuler> {
 fn run_with(ckpt: Option<&CheckpointConfig>) -> usize {
     let cfg = cfg();
     let initial = init::uniform(N, &cfg.domain, 42);
-    let (res, _) = run_distributed_durable(
-        &cfg,
-        Method::CaAllPairs { c: C },
-        P,
-        &FaultPlan::empty(),
-        &RetryPolicy::default(),
+    let recovery = Recovery {
+        plan: &FaultPlan::empty(),
+        policy: &RetryPolicy::default(),
         ckpt,
-        &initial,
-    );
-    res.expect("fault-free run").particles.len()
+        health: None,
+    };
+    let opts = RunOptions {
+        recovery: Some(recovery),
+        ..RunOptions::default()
+    };
+    let out = run(&cfg, Method::CaAllPairs { c: C }, P, &opts, &initial);
+    out.result.expect("fault-free run").particles.len()
 }
 
 fn sink_at(dir: &std::path::Path, every: usize) -> CheckpointConfig {

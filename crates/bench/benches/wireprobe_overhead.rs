@@ -7,7 +7,8 @@
 //! comparisons keep that honest:
 //!
 //! * a full CA all-pairs evaluation through `run_ranks` (probes off, the
-//!   default every caller gets) vs. `run_ranks_probed` (every
+//!   default every caller gets) vs. `run_ranks_recorded` with only the
+//!   wire lens on (every
 //!   point-to-point send/recv stamped into the per-rank ring) — the delta
 //!   is the whole per-message probe cost a `--wire-probe` run pays, and
 //!   the probes-off side must be indistinguishable from the historical
@@ -23,7 +24,7 @@ use std::time::Instant;
 use ca_nbody::dist::id_block_subset;
 use ca_nbody::{ca_all_pairs_forces, GridComms, ProcGrid};
 use criterion::{black_box, criterion_group, criterion_main, Criterion};
-use nbody_comm::{run_ranks, run_ranks_probed, Communicator, Phase, ProbeRecorder};
+use nbody_comm::{run_ranks, run_ranks_recorded, Communicator, Lenses, Phase, ProbeRecorder};
 use nbody_physics::{init, Boundary, Domain, Particle, RepulsiveInverseSquare};
 
 const P: usize = 4;
@@ -61,7 +62,15 @@ fn bench_eval_probes_on(c: &mut Criterion) {
     let grid = ProcGrid::new_all_pairs(P, C).unwrap();
     let initial = init::uniform(N, &Domain::unit(), 42);
     c.bench_function("allpairs_eval_wire_probes_on", |b| {
-        b.iter(|| black_box(run_ranks_probed(P, |world| eval(world, grid, &initial))))
+        let wire = Lenses {
+            record: false,
+            wire: true,
+        };
+        b.iter(|| {
+            black_box(run_ranks_recorded(P, wire, |world| {
+                eval(world, grid, &initial)
+            }))
+        })
     });
 }
 

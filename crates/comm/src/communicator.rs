@@ -53,8 +53,8 @@ pub trait Communicator: Sized {
     /// follows the rank, not the communicator).
     fn stats(&self) -> CommStats;
 
-    /// This rank's wall-clock span recorder. Like [`stats`]
-    /// (`Communicator::stats`), the tracer follows the rank: communicators
+    /// This rank's wall-clock span recorder. Like
+    /// [`stats`](Communicator::stats), the tracer follows the rank: communicators
     /// derived by `split` share it. Disabled (a no-op handle) unless the
     /// execution was started with tracing on.
     fn tracer(&self) -> Tracer {

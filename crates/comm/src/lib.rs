@@ -24,16 +24,14 @@ pub mod stats;
 pub mod thread_comm;
 
 pub use chaos::{
-    run_ranks_chaos, run_ranks_chaos_probed, run_ranks_chaos_traced, ChaosComm, FaultEvent,
-    FaultKind, FaultPlan,
+    run_ranks_chaos, run_ranks_chaos_recorded, ChaosComm, FaultEvent, FaultKind, FaultPlan,
 };
 pub use communicator::{sum_combine, CommData, Communicator};
 pub use error::CommError;
 pub use stats::{CommStats, Phase, PhaseCounters, ALL_PHASES, PHASE_COUNT};
 pub use self_comm::SelfComm;
 pub use thread_comm::{
-    run_ranks, run_ranks_probed, run_ranks_probed_traced, run_ranks_silent, run_ranks_traced,
-    validate_env, ThreadComm,
+    run_ranks, run_ranks_recorded, run_ranks_silent, validate_env, Lenses, Recorded, ThreadComm,
 };
 pub use nbody_metrics::{MetricsRecorder, MetricsSnapshot, RankMetrics};
 pub use nbody_timeline::{

@@ -635,16 +635,16 @@ impl Communicator for ThreadComm {
 ///
 /// This is the entry point of every distributed execution in the
 /// reproduction — the analogue of `mpirun -np p`. Span recording is off
-/// (every rank's tracer is the no-op handle); use [`run_ranks_traced`] to
+/// (every rank's tracer is the no-op handle); use [`run_ranks_recorded`] to
 /// capture wall-clock timelines.
 pub fn run_ranks<R, F>(p: usize, f: F) -> Vec<R>
 where
     R: Send,
     F: Fn(&mut ThreadComm) -> R + Sync,
 {
-    run_ranks_impl(p, None, false, true, false, f)
+    run_ranks_owned(p, None, false, true, false, |mut comm| f(&mut comm))
         .into_iter()
-        .map(|(r, _, _, _, _)| r)
+        .map(|(r, ..)| r)
         .collect()
 }
 
@@ -657,74 +657,63 @@ where
     R: Send,
     F: Fn(&mut ThreadComm) -> R + Sync,
 {
-    run_ranks_impl(p, None, false, false, false, f)
+    run_ranks_owned(p, None, false, false, false, |mut comm| f(&mut comm))
         .into_iter()
-        .map(|(r, _, _, _, _)| r)
+        .map(|(r, ..)| r)
         .collect()
 }
 
-/// [`run_ranks`] with wire probes on: every rank's communicator carries an
-/// enabled [`ProbeRecorder`] stamping each point-to-point send/recv against
-/// a shared epoch, and the drained per-rank rings are merged into a
-/// [`WireLog`] at join. Probes are off in every other entry point — the
-/// per-message ring is strictly opt-in.
-pub fn run_ranks_probed<R, F>(p: usize, f: F) -> (Vec<R>, WireLog)
-where
-    R: Send,
-    F: Fn(&mut ThreadComm) -> R + Sync,
-{
-    let out = run_ranks_impl(p, None, false, true, true, f);
-    let mut results = Vec::with_capacity(p);
-    let mut wires = Vec::with_capacity(p);
-    for (r, _, _, _, wire) in out {
-        results.push(r);
-        wires.extend(wire);
-    }
-    (results, WireLog::from_ranks(wires))
+/// The opt-in recorders of a launch; the flight ring is always on.
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
+pub struct Lenses {
+    /// Per-rank wall-clock span tracing against an epoch shared by every
+    /// rank, live metrics ([`MetricsRecorder`]) and a step-sampling
+    /// [`TimelineRecorder`].
+    pub record: bool,
+    /// Per-message wire probes: every rank's [`ProbeRecorder`] stamps each
+    /// point-to-point send/recv against a shared epoch of its own, so
+    /// cross-rank send→recv latencies are comparable even when `record` is
+    /// off.
+    pub wire: bool,
 }
 
-/// [`run_ranks`] with per-rank wall-clock span recording and live metrics:
-/// every rank's communicator carries an enabled [`Tracer`] measuring
-/// against a shared epoch taken just before the threads spawn plus an
-/// enabled [`MetricsRecorder`] and step-sampling [`TimelineRecorder`], and
-/// the per-rank buffers/shards are merged into an [`ExecutionTrace`], a
-/// [`MetricsSnapshot`], and a [`RunTimeline`] at join.
-pub fn run_ranks_traced<R, F>(
-    p: usize,
-    f: F,
-) -> (Vec<R>, ExecutionTrace, MetricsSnapshot, RunTimeline)
-where
-    R: Send,
-    F: Fn(&mut ThreadComm) -> R + Sync,
-{
-    let (results, trace, metrics, timeline, _) = run_ranks_traced_impl(p, false, f);
-    (results, trace, metrics, timeline)
+/// What a recorded launch hands back: the per-rank results in rank order
+/// and every rank's recorders merged. A lens left off contributes an empty
+/// artifact (no spans, no metric shards, flight-ring-only timelines, no
+/// wire events).
+#[derive(Debug)]
+pub struct Recorded<R> {
+    /// The closure's result on each rank, in rank order.
+    pub results: Vec<R>,
+    /// Every rank's spans.
+    pub trace: ExecutionTrace,
+    /// Every rank's metrics shard.
+    pub metrics: MetricsSnapshot,
+    /// Every rank's step samples and flight-ring events.
+    pub timeline: RunTimeline,
+    /// Every rank's wire-probe ring.
+    pub wire: WireLog,
 }
 
-/// [`run_ranks_traced`] with wire probes on as well, returning the merged
-/// [`WireLog`] alongside the usual artifacts.
-pub fn run_ranks_probed_traced<R, F>(
-    p: usize,
-    f: F,
-) -> (Vec<R>, ExecutionTrace, MetricsSnapshot, RunTimeline, WireLog)
+/// [`run_ranks`] with the recorders `lenses` selects, merged at join.
+pub fn run_ranks_recorded<R, F>(p: usize, lenses: Lenses, f: F) -> Recorded<R>
 where
     R: Send,
     F: Fn(&mut ThreadComm) -> R + Sync,
 {
-    run_ranks_traced_impl(p, true, f)
+    launch_recorded(p, false, lenses, |mut comm| f(&mut comm))
 }
 
-fn run_ranks_traced_impl<R, F>(
-    p: usize,
-    probe: bool,
-    f: F,
-) -> (Vec<R>, ExecutionTrace, MetricsSnapshot, RunTimeline, WireLog)
+/// Shared body of the recorded launchers: spawn with the recorders
+/// `lenses` selects (`relaxed` picks the fabric's tag-matching mode) and
+/// merge every rank's artifacts.
+pub(crate) fn launch_recorded<R, F>(p: usize, relaxed: bool, lenses: Lenses, f: F) -> Recorded<R>
 where
     R: Send,
-    F: Fn(&mut ThreadComm) -> R + Sync,
+    F: Fn(ThreadComm) -> R + Sync,
 {
-    let epoch = Instant::now();
-    let out = run_ranks_impl(p, Some(epoch), false, true, probe, f);
+    let epoch = lenses.record.then(Instant::now);
+    let out = run_ranks_owned(p, epoch, relaxed, true, lenses.wire, f);
     let mut results = Vec::with_capacity(p);
     let mut buffers = Vec::with_capacity(p);
     let mut shards = Vec::with_capacity(p);
@@ -737,13 +726,13 @@ where
         timelines.extend(timeline);
         wires.extend(wire);
     }
-    (
+    Recorded {
         results,
-        ExecutionTrace::from_rank_buffers(buffers),
-        MetricsSnapshot::from_shards(shards),
-        RunTimeline::from_ranks(timelines),
-        WireLog::from_ranks(wires),
-    )
+        trace: ExecutionTrace::from_rank_buffers(buffers),
+        metrics: MetricsSnapshot::from_shards(shards),
+        timeline: RunTimeline::from_ranks(timelines),
+        wire: WireLog::from_ranks(wires),
+    }
 }
 
 /// Per-rank artifacts a joined rank thread hands back: the closure's
@@ -757,7 +746,7 @@ pub(crate) type RankOutput<R> = (
     Option<RankWireLog>,
 );
 
-/// Shared body of every entry point: spawn `p` rank threads, hand each its
+/// Shared body of every launcher: spawn `p` rank threads, hand each its
 /// world [`ThreadComm`] (owned, so wrappers like `ChaosComm` can absorb
 /// it), and join. `relaxed` selects the fabric's tag-matching mode;
 /// `flight` controls the always-on flight recorder (off only for overhead
@@ -865,25 +854,19 @@ where
     })
 }
 
-fn run_ranks_impl<R, F>(
-    p: usize,
-    epoch: Option<Instant>,
-    relaxed: bool,
-    flight: bool,
-    probe: bool,
-    f: F,
-) -> Vec<RankOutput<R>>
-where
-    R: Send,
-    F: Fn(&mut ThreadComm) -> R + Sync,
-{
-    run_ranks_owned(p, epoch, relaxed, flight, probe, |mut comm| f(&mut comm))
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::communicator::sum_combine;
+
+    const RECORD: Lenses = Lenses {
+        record: true,
+        wire: false,
+    };
+    const WIRE: Lenses = Lenses {
+        record: false,
+        wire: true,
+    };
 
     #[test]
     fn world_ranks_and_sizes() {
@@ -1102,7 +1085,11 @@ mod tests {
     fn blocked_time_is_recorded_on_real_waits() {
         // Receiver posts its recv ~50 ms before the sender sends: both the
         // stats counter and the trace must capture the wait.
-        let (out, trace, _, _) = run_ranks_traced(2, |comm| {
+        let Recorded {
+            results: out,
+            trace,
+            ..
+        } = run_ranks_recorded(2, RECORD, |comm| {
             comm.set_phase(Phase::Shift);
             if comm.rank() == 0 {
                 std::thread::sleep(Duration::from_millis(50));
@@ -1149,7 +1136,13 @@ mod tests {
             buf[0]
         };
         let plain = run_ranks(4, body);
-        let (traced, trace, metrics, timeline) = run_ranks_traced(4, body);
+        let Recorded {
+            results: traced,
+            trace,
+            metrics,
+            timeline,
+            ..
+        } = run_ranks_recorded(4, RECORD, body);
         assert_eq!(plain, traced);
         assert_eq!(trace.ranks, 4);
         assert!(!trace.spans.is_empty());
@@ -1162,7 +1155,11 @@ mod tests {
 
     #[test]
     fn ranks_carry_a_live_timeline_recorder() {
-        let (enabled, _, _, timeline) = run_ranks_traced(2, |comm| {
+        let Recorded {
+            results: enabled,
+            timeline,
+            ..
+        } = run_ranks_recorded(2, RECORD, |comm| {
             let tl = comm.timeline();
             tl.step_mark(comm.rank() as u64);
             let sub = comm.split(0, comm.rank());
@@ -1233,7 +1230,11 @@ mod tests {
     fn probed_run_collects_wire_events() {
         use nbody_trace::Phase;
         use nbody_wireprobe::{match_events, ProbeKind};
-        let (enabled, wire) = run_ranks_probed(2, |comm| {
+        let Recorded {
+            results: enabled,
+            wire,
+            ..
+        } = run_ranks_recorded(2, WIRE, |comm| {
             comm.set_phase(Phase::Shift);
             if comm.rank() == 0 {
                 comm.send(1, 5, &[1u64, 2, 3]);
@@ -1269,7 +1270,7 @@ mod tests {
     fn wire_probes_follow_splits_and_skip_collectives() {
         use nbody_trace::Phase;
         use nbody_wireprobe::ProbeKind;
-        let (_, wire) = run_ranks_probed(4, |comm| {
+        let Recorded { wire, .. } = run_ranks_recorded(4, WIRE, |comm| {
             comm.set_phase(Phase::Skew);
             // Point-to-point on a derived communicator: probed, with
             // global ranks and the split's comm id.
@@ -1351,7 +1352,7 @@ mod tests {
     #[test]
     fn traced_run_collects_live_metrics() {
         use nbody_trace::Phase;
-        let (_, _, metrics, _) = run_ranks_traced(2, |comm| {
+        let Recorded { metrics, .. } = run_ranks_recorded(2, RECORD, |comm| {
             comm.set_phase(Phase::Shift);
             if comm.rank() == 0 {
                 comm.send(1, 1, &[7u64, 8, 9]);
@@ -1391,7 +1392,7 @@ mod tests {
     #[test]
     fn split_communicators_share_the_metrics_shard() {
         use nbody_trace::Phase;
-        let (_, _, metrics, _) = run_ranks_traced(2, |comm| {
+        let Recorded { metrics, .. } = run_ranks_recorded(2, RECORD, |comm| {
             comm.set_phase(Phase::Skew);
             let sub = comm.split(0, comm.rank());
             if sub.rank() == 0 {
@@ -1411,7 +1412,7 @@ mod tests {
     fn phase_windows_follow_split_communicators() {
         // set_phase on a *derived* communicator must land on the rank's one
         // timeline — the converse of `stats_shared_across_split`.
-        let (_, trace, _, _) = run_ranks_traced(4, |comm| {
+        let Recorded { trace, .. } = run_ranks_recorded(4, RECORD, |comm| {
             let sub = comm.split(comm.rank() % 2, comm.rank());
             sub.set_phase(Phase::Reduce);
             let mut buf = vec![comm.rank() as u64];

@@ -43,9 +43,8 @@ pub use grid::{GridComms, GridError, ProcGrid};
 pub use recovery::{FaultClass, FaultError, HealthMonitor, RecoveryReport, RetryPolicy};
 pub use probe::StepProbe;
 pub use sim::{
-    run_distributed, run_distributed_chaos, run_distributed_chaos_wired, run_distributed_durable,
-    run_distributed_health, run_distributed_recorded, run_distributed_sampled,
-    run_distributed_wired, run_serial, ChaosRunResult, CheckpointConfig, Method, RunResult,
+    run, run_distributed, run_distributed_health, run_distributed_wired, run_serial,
+    ChaosRunResult, CheckpointConfig, Method, Recovery, RunOptions, RunOutput, RunResult,
     SimConfig,
 };
 pub use window::{Window, Window1d, Window2d, Window3d};

@@ -107,11 +107,15 @@ impl StepProbe {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use nbody_comm::{run_ranks, run_ranks_traced, Phase};
+    use nbody_comm::{run_ranks, run_ranks_recorded, Lenses, Phase};
 
     #[test]
     fn probe_samples_deltas_per_step_on_traced_runs() {
-        let (_, _, _, timeline) = run_ranks_traced(2, |world| {
+        let record = Lenses {
+            record: true,
+            wire: false,
+        };
+        let timeline = run_ranks_recorded(2, record, |world| {
             let mut probe = StepProbe::new(world);
             for step in 0..3 {
                 let other = 1 - world.rank();
@@ -122,7 +126,8 @@ mod tests {
                 world.recv::<u64>(other, step as u64);
                 probe.sample(world, step, 10 * (step + 1));
             }
-        });
+        })
+        .timeline;
         assert_eq!(timeline.ranks.len(), 2);
         for rt in &timeline.ranks {
             assert_eq!(rt.samples.len(), 3, "one sample per step");

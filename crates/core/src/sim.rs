@@ -8,9 +8,8 @@
 //! validated against it step-for-step.
 
 use nbody_comm::{
-    run_ranks, run_ranks_chaos_probed, run_ranks_chaos_traced, run_ranks_probed_traced,
-    run_ranks_traced, CommStats, Communicator, EventKind, ExecutionTrace, FaultPlan,
-    MetricsSnapshot, Phase, RunTimeline, WireLog,
+    run_ranks_chaos_recorded, run_ranks_recorded, CommStats, Communicator, EventKind,
+    ExecutionTrace, FaultPlan, Lenses, MetricsSnapshot, Phase, RunTimeline, WireLog,
 };
 use nbody_durable::{write_atomic, CheckpointBundle, ColumnBlock};
 use nbody_physics::particle::reset_forces;
@@ -118,114 +117,8 @@ pub struct RunResult {
     pub particles: Vec<Particle>,
     /// Per-world-rank communication statistics.
     pub stats: Vec<CommStats>,
-}
-
-/// Run the serial reference simulation on a copy of `initial`.
-pub fn run_serial<F: ForceLaw, I: Integrator>(
-    cfg: &SimConfig<F, I>,
-    initial: &[Particle],
-) -> Vec<Particle> {
-    let mut particles = initial.to_vec();
-    for _ in 0..cfg.steps {
-        nbody_physics::reference::step(
-            &mut particles,
-            &cfg.law,
-            &cfg.integrator,
-            cfg.dt,
-            &cfg.domain,
-            cfg.boundary,
-        );
-    }
-    particles
-}
-
-/// Run a distributed simulation of `initial` on `p` rank threads with the
-/// given method, returning the gathered final state and per-rank stats.
-///
-/// Panics on invalid configurations (replication not dividing `p`, cutoff
-/// methods without a cutoff law, `c` exceeding the interaction window).
-pub fn run_distributed<F, I>(
-    cfg: &SimConfig<F, I>,
-    method: Method,
-    p: usize,
-    initial: &[Particle],
-) -> RunResult
-where
-    F: ForceLaw + Sync,
-    I: Integrator + Sync,
-{
-    validate_run(cfg, method);
-    let out = run_ranks(p, |world| run_rank(cfg, method, world, initial));
-    gather_results(out, initial.len())
-}
-
-/// [`run_distributed`] with per-rank wall-clock tracing enabled: every
-/// communication phase window, blocked wait, and driver section
-/// (`step` / `integrate` / `force` / `reassign`, per timestep) is recorded
-/// against a shared epoch and returned merged across ranks, together with
-/// the live metrics snapshot (per-rank communication counters, message-size
-/// histograms, and memory high-water marks) for optimality auditing, and
-/// the per-step [`RunTimeline`]: each rank samples its communication and
-/// compute deltas at every timestep boundary (decimated 2:1 when the series
-/// ring fills), feeding the live dashboard and the drift detector.
-pub fn run_distributed_recorded<F, I>(
-    cfg: &SimConfig<F, I>,
-    method: Method,
-    p: usize,
-    initial: &[Particle],
-) -> (RunResult, ExecutionTrace, MetricsSnapshot, RunTimeline)
-where
-    F: ForceLaw + Sync,
-    I: Integrator + Sync,
-{
-    validate_run(cfg, method);
-    let (out, trace, metrics, timeline) =
-        run_ranks_traced(p, |world| run_rank(cfg, method, world, initial));
-    (gather_results(out, initial.len()), trace, metrics, timeline)
-}
-
-/// [`run_distributed_recorded`] with wire probes on as well: every rank
-/// records each point-to-point protocol message (send/recv, rank pair,
-/// tag, phase, payload size, timestamp against the shared epoch) into a
-/// bounded ring, returned merged as a [`WireLog`] for latency attribution
-/// and schedule conformance checking.
-pub fn run_distributed_wired<F, I>(
-    cfg: &SimConfig<F, I>,
-    method: Method,
-    p: usize,
-    initial: &[Particle],
-) -> (RunResult, ExecutionTrace, MetricsSnapshot, RunTimeline, WireLog)
-where
-    F: ForceLaw + Sync,
-    I: Integrator + Sync,
-{
-    validate_run(cfg, method);
-    let (out, trace, metrics, timeline, wire) =
-        run_ranks_probed_traced(p, |world| run_rank(cfg, method, world, initial));
-    (
-        gather_results(out, initial.len()),
-        trace,
-        metrics,
-        timeline,
-        wire,
-    )
-}
-
-/// Result of a distributed run under fault injection.
-#[derive(Debug, Clone)]
-pub struct ChaosRunResult {
-    /// Final particles, gathered from all owners and sorted by id.
-    pub particles: Vec<Particle>,
-    /// Per-world-rank communication statistics.
-    pub stats: Vec<CommStats>,
-    /// Live metrics snapshot (includes the `fault_*` and
-    /// `recovery_bytes_total` counters).
-    pub metrics: MetricsSnapshot,
-    /// Per-rank wall-clock trace (chaos runs always trace, so recovery
-    /// overhead shows up in `report` breakdowns).
-    pub trace: ExecutionTrace,
     /// Worst per-evaluation attempt count across all ranks and timesteps
-    /// (1 = no fault ever fired).
+    /// (1 = no fault ever fired; always 1 without a recovery context).
     pub max_attempts: usize,
     /// Whether any evaluation recovered from a detected fault.
     pub recovered: bool,
@@ -236,7 +129,16 @@ pub struct ChaosRunResult {
     pub lost_particles: usize,
     /// Ranks still computing when the run finished (`p` if never shrunk).
     pub final_ranks: usize,
+    /// The globally agreed verdict of the numerical-health monitors, on a
+    /// run that had them on (identical on every rank up to floating-point
+    /// reduction order).
+    pub health: Option<HealthReport>,
 }
+
+/// The result of a fault-tolerant run, by the name
+/// [`run_distributed_health`] returns it under: the same type as
+/// [`RunResult`].
+pub type ChaosRunResult = RunResult;
 
 /// Durable checkpointing configuration for fault-tolerant runs.
 ///
@@ -264,75 +166,188 @@ pub struct CheckpointConfig {
     pub crash_at: Option<u64>,
 }
 
-/// Run a distributed simulation under a fault-injection [`FaultPlan`],
-/// using the fault-tolerant force drivers (the CA methods only:
-/// [`Method::CaAllPairs`], [`Method::Ca1dCutoff`], [`Method::Ca2dCutoff`]).
-///
-/// Completes with forces bit-identical to the fault-free run whenever
-/// replica recovery is possible. When whole team columns die (all `c`
-/// replicas), the survivors agree to drop the lost blocks and continue on
-/// a shrunken world ([`ChaosRunResult::shrinks`]); only a terminal
-/// [`FaultError`] — retries exhausted, or nothing surviving anywhere —
-/// fails the run, and every rank returns the same agreed verdict.
-pub fn run_distributed_chaos<F, I>(
-    cfg: &SimConfig<F, I>,
-    method: Method,
-    p: usize,
-    plan: &FaultPlan,
-    policy: &RetryPolicy,
-    initial: &[Particle],
-) -> Result<ChaosRunResult, FaultError>
-where
-    F: ForceLaw + Sync,
-    I: Integrator + Sync,
-{
-    run_distributed_durable(cfg, method, p, plan, policy, None, initial).0
+/// The recovery context of a fault-tolerant CA run.
+#[derive(Debug, Clone, Copy)]
+pub struct Recovery<'a> {
+    /// Faults to inject (an empty plan injects none).
+    pub plan: &'a FaultPlan,
+    /// Retry policy of every force evaluation.
+    pub policy: &'a RetryPolicy,
+    /// Durable checkpoint sink, persisted on its cadence.
+    pub ckpt: Option<&'a CheckpointConfig>,
+    /// Numerical-health monitors, checked on their cadence.
+    pub health: Option<&'a HealthConfig>,
 }
 
-/// [`run_distributed_chaos`] returning the per-step [`RunTimeline`] as
-/// well, with an optional durable checkpoint sink. The timeline is
-/// produced **even when the run fails**: on an agreed [`FaultError`] it is
-/// a postmortem bundle ([`RunTimeline::is_postmortem`]) carrying each
-/// rank's final flight-ring events and the failure reason marked by the
-/// recovery layer. With `ckpt`, on the configured cadence the leaders'
-/// blocks are gathered and persisted as an atomic versioned bundle, so the
-/// run can be killed at any point and resumed from the last completed
-/// checkpoint (`run --resume`).
-pub fn run_distributed_durable<F, I>(
+/// How [`run`] runs: which lenses record and whether the run is fault
+/// tolerant. The default is a plain run with only the flight ring on.
+#[derive(Debug, Clone, Copy, Default)]
+pub struct RunOptions<'a> {
+    /// Record per-rank wall-clock spans (every communication phase window,
+    /// blocked wait, and driver section `step` / `integrate` / `force` /
+    /// `reassign` per timestep) against a shared epoch, the live metrics
+    /// (per-rank communication counters, message-size histograms, memory
+    /// high-water marks), and the per-step timeline (each rank samples its
+    /// communication and compute deltas at every timestep boundary).
+    pub record: bool,
+    /// Record wire probes: every point-to-point protocol message (send or
+    /// recv, rank pair, tag, phase, payload size, timestamp) and, under a
+    /// fault plan, every injected fault, for latency attribution and
+    /// schedule conformance checking.
+    pub wire: bool,
+    /// Run fault tolerant (CA methods only). Such a run always records:
+    /// its fault and recovery counters live in the metrics shard.
+    pub recovery: Option<Recovery<'a>>,
+}
+
+/// Everything one [`run`] produces. Each recorder's artifact is `Some`
+/// when its lens was on, and survives a failed run: on an agreed
+/// [`FaultError`] the timeline is a postmortem bundle
+/// ([`RunTimeline::is_postmortem`]) carrying each rank's final flight-ring
+/// events and the failure reason, and the wire log holds what actually
+/// crossed the wire.
+#[derive(Debug)]
+pub struct RunOutput {
+    /// The gathered final state, or the agreed verdict of a fault-tolerant
+    /// run that failed (a run without recovery never fails).
+    pub result: Result<RunResult, FaultError>,
+    /// Every rank's spans, merged.
+    pub trace: Option<ExecutionTrace>,
+    /// The live metrics snapshot (including the `fault_*`,
+    /// `recovery_bytes_total` and `checkpoint_*` counters).
+    pub metrics: Option<MetricsSnapshot>,
+    /// The per-step timeline and flight-ring events.
+    pub timeline: Option<RunTimeline>,
+    /// The merged wire-probe log.
+    pub wire: Option<WireLog>,
+}
+
+/// Run the serial reference simulation on a copy of `initial`.
+pub fn run_serial<F: ForceLaw, I: Integrator>(
+    cfg: &SimConfig<F, I>,
+    initial: &[Particle],
+) -> Vec<Particle> {
+    let mut particles = initial.to_vec();
+    for _ in 0..cfg.steps {
+        nbody_physics::reference::step(
+            &mut particles,
+            &cfg.law,
+            &cfg.integrator,
+            cfg.dt,
+            &cfg.domain,
+            cfg.boundary,
+        );
+    }
+    particles
+}
+
+/// Run a distributed simulation of `initial` on `p` rank threads with the
+/// given method, recording what `opts` asks for.
+///
+/// Panics on invalid configurations (replication not dividing `p`, cutoff
+/// methods without a cutoff law, `c` exceeding the interaction window).
+///
+/// With a recovery context the run uses the fault-tolerant force drivers
+/// (the CA methods only: [`Method::CaAllPairs`], [`Method::Ca1dCutoff`],
+/// [`Method::Ca2dCutoff`]) under the context's fault plan. It completes
+/// with forces bit-identical to the fault-free run whenever replica
+/// recovery is possible. When whole team columns die (all `c` replicas),
+/// the survivors agree to drop the lost blocks and continue on a shrunken
+/// world ([`RunResult::shrinks`]); only a terminal [`FaultError`] —
+/// retries exhausted, or nothing surviving anywhere — fails the run, and
+/// every rank returns the same agreed verdict.
+///
+/// With a checkpoint sink, on its cadence the leaders' blocks are gathered
+/// and persisted as an atomic versioned bundle, so the run can be killed
+/// at any point and resumed from the last completed checkpoint
+/// (`run --resume`). With the numerical-health monitors, every checked
+/// step the ranks' partial kinetic/momentum/potential sums are reduced
+/// once world-wide into the timeline's energy/momentum series, non-finite
+/// sentinels scan forces and integrated state (aborting into a postmortem
+/// with the blamed rank/particle/field on first trigger), and every
+/// recovery attempt cross-checks replica state fingerprints down each
+/// column (a diverged replica is re-seeded from its column majority and
+/// counted in [`HealthReport::fingerprint_mismatches`]).
+pub fn run<F, I>(
     cfg: &SimConfig<F, I>,
     method: Method,
     p: usize,
-    plan: &FaultPlan,
-    policy: &RetryPolicy,
-    ckpt: Option<&CheckpointConfig>,
+    opts: &RunOptions<'_>,
     initial: &[Particle],
-) -> (Result<ChaosRunResult, FaultError>, RunTimeline)
+) -> RunOutput
 where
     F: ForceLaw + Sync,
     I: Integrator + Sync,
 {
-    let rc = Recovery {
-        policy,
-        ckpt,
-        health: None,
+    validate_run(cfg, method);
+    let lenses = Lenses {
+        record: opts.record || opts.recovery.is_some(),
+        wire: opts.wire,
     };
-    let (res, timeline) = run_chaos_inner(cfg, method, p, plan, rc, initial);
-    (res.map(|(r, _)| r), timeline)
+    let rec = match opts.recovery {
+        None => run_ranks_recorded(p, lenses, |world| {
+            let (owned, stats) = run_rank(cfg, method, world, initial);
+            Ok((owned, stats, RecoveryReport::default(), None))
+        }),
+        Some(rc) => run_ranks_chaos_recorded(p, rc.plan, lenses, |world| {
+            run_rank_ca(cfg, method, world, initial, Some(rc))
+        }),
+    };
+    RunOutput {
+        result: join_ranks(rec.results, initial.len()),
+        trace: lenses.record.then_some(rec.trace),
+        metrics: lenses.record.then_some(rec.metrics),
+        timeline: lenses.record.then_some(rec.timeline),
+        wire: lenses.wire.then_some(rec.wire),
+    }
 }
 
-/// [`run_distributed_durable`] (without a checkpoint sink) with the
-/// numerical-health monitors on: every step the ranks' partial
-/// kinetic/momentum/potential sums are reduced once world-wide into the
-/// timeline's energy/momentum series, non-finite sentinels scan forces and
-/// integrated state (aborting into a postmortem with the blamed
-/// rank/particle/field on first trigger), and
-/// every recovery attempt cross-checks replica state fingerprints down
-/// each column (a diverged replica is re-seeded from its column majority
-/// and counted in [`HealthReport::fingerprint_mismatches`]).
-///
-/// CA methods only, like every chaos run. On success the returned
-/// [`HealthReport`] is the globally agreed verdict (identical on every
-/// rank up to floating-point reduction order).
+/// [`run`] with no lens and no recovery: the gathered final state and
+/// per-rank stats.
+pub fn run_distributed<F, I>(
+    cfg: &SimConfig<F, I>,
+    method: Method,
+    p: usize,
+    initial: &[Particle],
+) -> RunResult
+where
+    F: ForceLaw + Sync,
+    I: Integrator + Sync,
+{
+    let out = run(cfg, method, p, &RunOptions::default(), initial);
+    out.result.expect("a run without recovery cannot fail")
+}
+
+/// [`run`] with every lens on and no recovery, returning each artifact.
+pub fn run_distributed_wired<F, I>(
+    cfg: &SimConfig<F, I>,
+    method: Method,
+    p: usize,
+    initial: &[Particle],
+) -> (RunResult, ExecutionTrace, MetricsSnapshot, RunTimeline, WireLog)
+where
+    F: ForceLaw + Sync,
+    I: Integrator + Sync,
+{
+    let opts = RunOptions {
+        record: true,
+        wire: true,
+        recovery: None,
+    };
+    let out = run(cfg, method, p, &opts, initial);
+    let on = "every lens is on";
+    (
+        out.result.expect("a run without recovery cannot fail"),
+        out.trace.expect(on),
+        out.metrics.expect(on),
+        out.timeline.expect(on),
+        out.wire.expect(on),
+    )
+}
+
+/// [`run`] under `plan` with the numerical-health monitors on and no
+/// checkpoint sink, returning the agreed [`HealthReport`] on success and
+/// the timeline (a postmortem bundle on failure) either way.
 pub fn run_distributed_health<F, I>(
     cfg: &SimConfig<F, I>,
     method: Method,
@@ -346,87 +361,34 @@ where
     F: ForceLaw + Sync,
     I: Integrator + Sync,
 {
-    let rc = Recovery {
+    let recovery = Recovery {
+        plan,
         policy,
         ckpt: None,
         health: Some(health),
     };
-    let (res, timeline) = run_chaos_inner(cfg, method, p, plan, rc, initial);
-    (
-        res.map(|(r, h)| (r, h.expect("health runs always produce a report"))),
-        timeline,
-    )
-}
-
-fn run_chaos_inner<F, I>(
-    cfg: &SimConfig<F, I>,
-    method: Method,
-    p: usize,
-    plan: &FaultPlan,
-    rc: Recovery<'_>,
-    initial: &[Particle],
-) -> (
-    Result<(ChaosRunResult, Option<HealthReport>), FaultError>,
-    RunTimeline,
-)
-where
-    F: ForceLaw + Sync,
-    I: Integrator + Sync,
-{
-    validate_run(cfg, method);
-    let (out, trace, metrics, timeline) = run_ranks_chaos_traced(p, plan, |world| {
-        run_rank_ca(cfg, method, world, initial, Some(rc))
-    });
-    (assemble_chaos(out, initial.len(), metrics, trace), timeline)
-}
-
-/// [`run_distributed_durable`] (without a checkpoint sink) with wire
-/// probes on: the returned [`WireLog`] carries every protocol message
-/// *and* every injected fault as first-class events, so a conformance
-/// check can attribute each discrepancy between observed and scheduled
-/// traffic to the fault plan.
-/// Like the timeline, the log is produced even when the run fails.
-pub fn run_distributed_chaos_wired<F, I>(
-    cfg: &SimConfig<F, I>,
-    method: Method,
-    p: usize,
-    plan: &FaultPlan,
-    policy: &RetryPolicy,
-    initial: &[Particle],
-) -> (Result<ChaosRunResult, FaultError>, RunTimeline, WireLog)
-where
-    F: ForceLaw + Sync,
-    I: Integrator + Sync,
-{
-    validate_run(cfg, method);
-    let rc = Recovery {
-        policy,
-        ckpt: None,
-        health: None,
+    let opts = RunOptions {
+        recovery: Some(recovery),
+        ..RunOptions::default()
     };
-    let (out, trace, metrics, timeline, wire) = run_ranks_chaos_probed(p, plan, |world| {
-        run_rank_ca(cfg, method, world, initial, Some(rc))
+    let out = run(cfg, method, p, &opts, initial);
+    let res = out.result.map(|r| {
+        let hr = r.health.expect("health runs always produce a report");
+        (r, hr)
     });
-    (
-        assemble_chaos(out, initial.len(), metrics, trace).map(|(r, _)| r),
-        timeline,
-        wire,
-    )
+    (res, out.timeline.expect("fault-tolerant runs always record"))
 }
 
-/// Merge the per-rank outcomes of a fault-tolerant run into one
-/// [`ChaosRunResult`], accounting for blocks dropped by agreed shrinks:
-/// the gathered survivors plus the lost particles must tile the initial
-/// set exactly (sorted, unique ids), anything else is a protocol bug.
+/// Per-rank outcome of a run: the rank's final block, stats, recovery
+/// report and health report, or the agreed fault verdict.
 type RankOutcome =
     Result<(Vec<Particle>, CommStats, RecoveryReport, Option<HealthReport>), FaultError>;
 
-fn assemble_chaos(
-    out: Vec<RankOutcome>,
-    n: usize,
-    metrics: MetricsSnapshot,
-    trace: ExecutionTrace,
-) -> Result<(ChaosRunResult, Option<HealthReport>), FaultError> {
+/// Merge the per-rank outcomes into one [`RunResult`], accounting for
+/// blocks dropped by agreed shrinks: the gathered survivors plus the lost
+/// particles must tile the initial set exactly (sorted, unique ids),
+/// anything else is a protocol bug.
+fn join_ranks(out: Vec<RankOutcome>, n: usize) -> Result<RunResult, FaultError> {
     let p = out.len();
     let mut particles = Vec::with_capacity(n);
     let mut stats = Vec::with_capacity(p);
@@ -475,26 +437,22 @@ fn assemble_chaos(
     assert_eq!(
         particles.len() + lost_particles,
         n,
-        "particles lost or duplicated in chaos run beyond the agreed shrinks"
+        "particles lost or duplicated in distributed run beyond the agreed shrinks"
     );
     assert!(
         particles.windows(2).all(|w| w[0].id < w[1].id),
-        "duplicate particle ids in chaos run"
+        "duplicate particle ids in distributed run"
     );
-    Ok((
-        ChaosRunResult {
-            particles,
-            stats,
-            metrics,
-            trace,
-            max_attempts,
-            recovered,
-            shrinks,
-            lost_particles,
-            final_ranks,
-        },
+    Ok(RunResult {
+        particles,
+        stats,
+        max_attempts,
+        recovered,
+        shrinks,
+        lost_particles,
+        final_ranks,
         health,
-    ))
+    })
 }
 
 /// Execute an agreed shrink: split the survivors off into a new world,
@@ -731,17 +689,6 @@ fn health_reduce<C: Communicator>(
     Ok((energy, momentum))
 }
 
-/// The recovery context of a fault-tolerant CA run.
-#[derive(Clone, Copy)]
-struct Recovery<'a> {
-    /// Retry policy of every force evaluation.
-    policy: &'a RetryPolicy,
-    /// Durable checkpoint sink, persisted on its cadence.
-    ckpt: Option<&'a CheckpointConfig>,
-    /// Numerical-health monitors, checked on their cadence.
-    health: Option<&'a HealthConfig>,
-}
-
 /// The per-method parts of the CA timestep loop on one processor grid.
 struct CaLayout {
     grid: ProcGrid,
@@ -767,7 +714,7 @@ impl CaLayout {
             Method::Ca2dCutoff { .. } => true,
             _ => panic!(
                 "{method:?} has no fault-tolerant driver; chaos runs support the CA methods \
-                 (ca-all-pairs, ca-1d-cutoff, ca-2d-cutoff)"
+                 (ca, ca-cutoff-1d, ca-cutoff-2d)"
             ),
         };
         let grid = ProcGrid::new(p, c)?;
@@ -998,22 +945,6 @@ fn validate_run<F: ForceLaw, I>(cfg: &SimConfig<F, I>, method: Method) {
             "{method:?} requires a force law with a cutoff radius"
         );
     }
-}
-
-fn gather_results(out: Vec<(Vec<Particle>, CommStats)>, n: usize) -> RunResult {
-    let mut particles = Vec::with_capacity(n);
-    let mut stats = Vec::with_capacity(out.len());
-    for (mut ps, st) in out {
-        particles.append(&mut ps);
-        stats.push(st);
-    }
-    particles.sort_by_key(|q| q.id);
-    assert_eq!(
-        particles.len(),
-        n,
-        "particles lost or duplicated in distributed run"
-    );
-    RunResult { particles, stats }
 }
 
 /// Per-rank body of a distributed run.
@@ -1343,9 +1274,20 @@ mod tests {
         // slightly after the shared epoch) is well under the 10% margin.
         let initial = init::uniform(600, &cfg.domain, 13);
         let plain = run_distributed(&cfg, Method::Ca1dCutoff { c: 2 }, 8, &initial);
-        let (traced, trace, metrics, _) =
-            run_distributed_recorded(&cfg, Method::Ca1dCutoff { c: 2 }, 8, &initial);
-        assert_eq!(plain.particles, traced.particles, "tracing must not perturb physics");
+        let record = RunOptions {
+            record: true,
+            ..RunOptions::default()
+        };
+        let out = run(&cfg, Method::Ca1dCutoff { c: 2 }, 8, &record, &initial);
+        let (traced, trace, metrics) = (
+            out.result.unwrap(),
+            out.trace.unwrap(),
+            out.metrics.unwrap(),
+        );
+        assert_eq!(
+            plain.particles, traced.particles,
+            "tracing must not perturb physics"
+        );
 
         // Live metrics ride along: every rank shipped shift messages, and
         // the leaders recorded their particle memory high-water marks.
@@ -1398,21 +1340,25 @@ mod tests {
             seed: 9,
             crash_at: None,
         };
-        let (res, _) = run_distributed_durable(
-            &cfg,
-            Method::CaAllPairs { c: 2 },
-            4,
-            &FaultPlan::empty(),
-            &RetryPolicy::default(),
-            Some(&ck),
-            &initial,
-        );
-        let full = res.expect("fault-free durable run");
+        let recovery = Recovery {
+            plan: &FaultPlan::empty(),
+            policy: &RetryPolicy::default(),
+            ckpt: Some(&ck),
+            health: None,
+        };
+        let opts = RunOptions {
+            recovery: Some(recovery),
+            ..RunOptions::default()
+        };
+        let out = run(&cfg, Method::CaAllPairs { c: 2 }, 4, &opts, &initial);
+        let full = out.result.expect("fault-free durable run");
         // Persisting must not perturb the physics.
         let plain = run_distributed(&cfg, Method::CaAllPairs { c: 2 }, 4, &initial);
         assert_eq!(full.particles, plain.particles);
         assert_eq!(
-            full.metrics.sum_counter("checkpoint_persisted_total", None),
+            out.metrics
+                .unwrap()
+                .sum_counter("checkpoint_persisted_total", None),
             3,
             "cadence 2 over 6 steps lands bundles at steps 2, 4, 6"
         );
@@ -1437,8 +1383,13 @@ mod tests {
     fn traced_run_reports_driver_sections_per_step() {
         let cfg = all_pairs_cfg(4);
         let initial = init::uniform(24, &cfg.domain, 42);
-        let (_, trace, _, _) =
-            run_distributed_recorded(&cfg, Method::CaAllPairs { c: 2 }, 8, &initial);
+        let record = RunOptions {
+            record: true,
+            ..RunOptions::default()
+        };
+        let trace = run(&cfg, Method::CaAllPairs { c: 2 }, 8, &record, &initial)
+            .trace
+            .unwrap();
         let reports = trace.step_reports();
         assert_eq!(reports.len(), 4, "one report per timestep");
         for (i, r) in reports.iter().enumerate() {
@@ -1451,99 +1402,6 @@ mod tests {
             let step_max = r.parts.iter().find(|(n, _)| n == "step").unwrap().1.max;
             let force_max = r.parts.iter().find(|(n, _)| n == "force").unwrap().1.max;
             assert!(step_max >= force_max);
-        }
-    }
-}
-
-/// Run a distributed simulation while sampling intermediate states: the
-/// trajectory is executed in chunks of `every` steps and the gathered
-/// state after each chunk is recorded (including the final state).
-///
-/// Implemented as repeated [`run_distributed`] calls, so it adds no
-/// protocol complexity; note that [`VelocityVerlet`] carries the previous
-/// step's forces across steps, which resets at chunk boundaries — use a
-/// single-phase integrator (e.g. [`SemiImplicitEuler`]) when exact
-/// equivalence to an unsampled run matters.
-///
-/// [`VelocityVerlet`]: nbody_physics::VelocityVerlet
-/// [`SemiImplicitEuler`]: nbody_physics::SemiImplicitEuler
-pub fn run_distributed_sampled<F, I>(
-    cfg: &SimConfig<F, I>,
-    method: Method,
-    p: usize,
-    initial: &[Particle],
-    every: usize,
-) -> Vec<Vec<Particle>>
-where
-    F: ForceLaw + Sync + Clone,
-    I: Integrator + Sync + Clone,
-{
-    assert!(every > 0, "sampling interval must be positive");
-    let mut snapshots = Vec::new();
-    let mut state: Vec<Particle> = initial.to_vec();
-    let mut remaining = cfg.steps;
-    while remaining > 0 {
-        let chunk = remaining.min(every);
-        let chunk_cfg = SimConfig {
-            law: cfg.law.clone(),
-            integrator: cfg.integrator.clone(),
-            domain: cfg.domain,
-            boundary: cfg.boundary,
-            dt: cfg.dt,
-            steps: chunk,
-        };
-        state = run_distributed(&chunk_cfg, method, p, &state).particles;
-        snapshots.push(state.clone());
-        remaining -= chunk;
-    }
-    snapshots
-}
-
-#[cfg(test)]
-mod sampled_tests {
-    use super::*;
-    use nbody_physics::{init, RepulsiveInverseSquare, SemiImplicitEuler};
-
-    #[test]
-    fn sampled_run_matches_unsampled_for_single_phase_integrators() {
-        let cfg = SimConfig {
-            law: RepulsiveInverseSquare {
-                strength: 1e-3,
-                softening: 1e-3,
-            },
-            integrator: SemiImplicitEuler,
-            domain: Domain::unit(),
-            boundary: Boundary::Reflective,
-            dt: 0.01,
-            steps: 9,
-        };
-        let initial = init::uniform(20, &cfg.domain, 4);
-        let full = run_distributed(&cfg, Method::CaAllPairs { c: 2 }, 8, &initial).particles;
-        let snaps = run_distributed_sampled(&cfg, Method::CaAllPairs { c: 2 }, 8, &initial, 4);
-        // Chunks of 4, 4, 1.
-        assert_eq!(snaps.len(), 3);
-        assert_eq!(snaps.last().unwrap(), &full);
-    }
-
-    #[test]
-    fn sampled_snapshots_evolve() {
-        let cfg = SimConfig {
-            law: RepulsiveInverseSquare {
-                strength: 5e-3,
-                softening: 1e-3,
-            },
-            integrator: SemiImplicitEuler,
-            domain: Domain::unit(),
-            boundary: Boundary::Reflective,
-            dt: 0.02,
-            steps: 6,
-        };
-        let initial = init::uniform(16, &cfg.domain, 7);
-        let snaps = run_distributed_sampled(&cfg, Method::ParticleRing, 4, &initial, 2);
-        assert_eq!(snaps.len(), 3);
-        assert_ne!(snaps[0], snaps[2], "state must change over time");
-        for s in &snaps {
-            assert_eq!(s.len(), 16);
         }
     }
 }

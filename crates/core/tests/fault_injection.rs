@@ -9,9 +9,9 @@ use std::time::{Duration, Instant};
 use ca_nbody::dist::spatial_subset_1d;
 use ca_nbody::recovery::{FaultError, RetryPolicy};
 use ca_nbody::sim::{
-    run_distributed, run_distributed_chaos, run_distributed_recorded, run_serial, Method, SimConfig,
+    run, run_distributed, run_serial, Method, Recovery, RunOptions, RunOutput, RunResult, SimConfig,
 };
-use nbody_comm::{FaultKind, FaultPlan, Phase};
+use nbody_comm::{FaultKind, FaultPlan, MetricsSnapshot, Phase, PhaseCounters, ALL_PHASES};
 use nbody_physics::{
     init, Boundary, Cutoff, Domain, ForceLaw, Integrator, Particle, RepulsiveInverseSquare,
     SemiImplicitEuler,
@@ -49,11 +49,39 @@ fn cutoff_cfg(steps: usize) -> SimConfig<Cutoff<RepulsiveInverseSquare>, SemiImp
     }
 }
 
+/// `method` on `p` ranks through the fault-tolerant path under `plan`.
+fn run_chaos<F, I>(
+    cfg: &SimConfig<F, I>,
+    method: Method,
+    p: usize,
+    plan: &FaultPlan,
+    policy: &RetryPolicy,
+    initial: &[Particle],
+) -> RunOutput
+where
+    F: ForceLaw + Sync,
+    I: Integrator + Sync,
+{
+    let recovery = Recovery {
+        plan,
+        policy,
+        ckpt: None,
+        health: None,
+    };
+    let opts = RunOptions {
+        recovery: Some(recovery),
+        ..RunOptions::default()
+    };
+    run(cfg, method, p, &opts, initial)
+}
+
 /// Run `method` plain and under a benign `plan`: the fault-tolerant run
 /// must be bit-identical without a retry. The plain run sends no recovery
 /// traffic and holds no checkpoint copy, so the fault-tolerant particle
 /// high-water mark is exactly `ratio.0 / ratio.1` of the plain one (the
 /// trajectories are identical, so the blocks behind both maxima are too).
+/// Each side also runs with wire probes on, which must not change its
+/// particles or any per-phase count outside `Phase::Recovery`.
 fn check_benign<F, I>(
     cfg: &SimConfig<F, I>,
     method: Method,
@@ -65,20 +93,53 @@ where
     F: ForceLaw + Sync,
     I: Integrator + Sync,
 {
-    let (plain, _, plain_metrics, _) = run_distributed_recorded(cfg, method, 8, initial);
     let policy = RetryPolicy::with_timeout_ms(2000);
-    let got = run_distributed_chaos(cfg, method, 8, plan, &policy, initial)
-        .expect("benign faults cannot fail a run");
+    let recovery = Recovery {
+        plan,
+        policy: &policy,
+        ckpt: None,
+        health: None,
+    };
     let label = format!("{method:?} {:?} plan={}", cfg.boundary, plan.spec());
-    prop_assert_eq!(&got.particles, &plain.particles, "{}", label);
-    prop_assert!(!got.recovered, "delays/dups must not retry: {}", label);
+    // Every count, without the wall-clock blocked time.
+    let counts = |c: &PhaseCounters| PhaseCounters {
+        blocked_secs: 0.0,
+        ..*c
+    };
+    // One side, with and without the wire lens: the recorded result.
+    let side = |recovery| -> Result<(RunResult, MetricsSnapshot), TestCaseError> {
+        let bare = RunOptions {
+            record: true,
+            wire: false,
+            recovery,
+        };
+        let wired = RunOptions { wire: true, ..bare };
+        let out = run(cfg, method, 8, &bare, initial);
+        let lens = run(cfg, method, 8, &wired, initial);
+        let got = out.result.expect("benign faults cannot fail a run");
+        let with_lens = lens.result.expect("benign faults cannot fail a run");
+        prop_assert_eq!(&with_lens.particles, &got.particles, "wire lens: {}", label);
+        for (a, b) in got.stats.iter().zip(&with_lens.stats) {
+            for &ph in ALL_PHASES.iter().filter(|&&ph| ph != Phase::Recovery) {
+                let (a, b) = (counts(a.phase(ph)), counts(b.phase(ph)));
+                prop_assert_eq!(a, b, "wire lens {:?}: {}", ph, label);
+            }
+        }
+        prop_assert!(out.wire.is_none(), "{}", label);
+        prop_assert!(lens.wire.is_some_and(|w| w.total_events() > 0), "{}", label);
+        Ok((got, out.metrics.expect("recorded run")))
+    };
+    let (plain, plain_metrics) = side(None)?;
+    let (ft, ft_metrics) = side(Some(recovery))?;
+    prop_assert_eq!(&ft.particles, &plain.particles, "{}", label);
+    prop_assert!(!ft.recovered, "delays/dups must not retry: {}", label);
     for s in &plain.stats {
         let recovery = s.phase(Phase::Recovery);
         prop_assert_eq!(recovery.messages, 0, "{}", label);
         prop_assert_eq!(recovery.collectives, 0, "{}", label);
     }
     let plain_hwm = plain_metrics.max_gauge("mem_particles_hwm", None);
-    let ft_hwm = got.metrics.max_gauge("mem_particles_hwm", None);
+    let ft_hwm = ft_metrics.max_gauge("mem_particles_hwm", None);
     prop_assert!(plain_hwm > 0, "{}", label);
     prop_assert_eq!(ft_hwm * ratio.1, plain_hwm * ratio.0, "{}", label);
     Ok(())
@@ -125,7 +186,7 @@ fn drops_recover_bit_identically_at_every_c() {
         let method = Method::CaAllPairs { c };
         let want = run_distributed(&cfg, method, 8, &initial).particles;
         let plan = FaultPlan::parse(&format!("drop:{rank}@{step}")).unwrap();
-        let got = run_distributed_chaos(
+        let got = run_chaos(
             &cfg,
             method,
             8,
@@ -133,6 +194,7 @@ fn drops_recover_bit_identically_at_every_c() {
             &RetryPolicy::with_timeout_ms(400),
             &initial,
         )
+        .result
         .expect("drops are always recoverable");
         assert_eq!(got.particles, want, "c={c} rank={rank} step={step}");
         assert!(got.recovered, "a drop must be detected and retried");
@@ -153,25 +215,28 @@ fn kill_at_each_step_recovers_bit_identically_with_replication() {
     for step in 0..=2usize {
         for rank in [1usize, 6] {
             let plan = FaultPlan::kill(rank, step);
-            let got = run_distributed_chaos(
+            let out = run_chaos(
                 &cfg,
                 method,
                 8,
                 &plan,
                 &RetryPolicy::with_timeout_ms(500),
                 &initial,
-            )
-            .unwrap_or_else(|e| panic!("kill:{rank}@{step} must recover at c=2: {e}"));
+            );
+            let got = out
+                .result
+                .unwrap_or_else(|e| panic!("kill:{rank}@{step} must recover at c=2: {e}"));
+            let metrics = out.metrics.expect("fault-tolerant runs record");
             assert_eq!(got.particles, want, "kill:{rank}@{step}");
             assert!(got.recovered);
             assert_eq!(got.max_attempts, 2, "one retry suffices for one kill");
             assert!(
-                got.metrics.sum_counter("fault_injected_kill", None) >= 1,
+                metrics.sum_counter("fault_injected_kill", None) >= 1,
                 "kill must be recorded in metrics"
             );
-            assert!(got.metrics.sum_counter("fault_recovered_total", None) >= 1);
+            assert!(metrics.sum_counter("fault_recovered_total", None) >= 1);
             assert!(
-                got.metrics.sum_counter("recovery_bytes_total", None) > 0,
+                metrics.sum_counter("recovery_bytes_total", None) > 0,
                 "resync traffic must be accounted"
             );
         }
@@ -188,7 +253,7 @@ fn cutoff_kill_recovers_bit_identically() {
         let want = run_distributed(&cfg, method, 8, &initial).particles;
         for (rank, step) in [(5usize, 1usize), (2, 0)] {
             let plan = FaultPlan::kill(rank, step);
-            let got = run_distributed_chaos(
+            let got = run_chaos(
                 &cfg,
                 method,
                 8,
@@ -196,6 +261,7 @@ fn cutoff_kill_recovers_bit_identically() {
                 &RetryPolicy::with_timeout_ms(500),
                 &initial,
             )
+            .result
             .unwrap_or_else(|e| panic!("{method:?} kill:{rank}@{step}: {e}"));
             assert_eq!(got.particles, want, "{method:?} kill:{rank}@{step}");
             assert!(got.recovered);
@@ -213,15 +279,17 @@ fn c1_kill_shrinks_onto_survivors_and_completes() {
     let initial = init::uniform(24, &cfg.domain, 5);
     let policy = RetryPolicy::with_timeout_ms(300);
     let start = Instant::now();
-    let got = run_distributed_chaos(
+    let out = run_chaos(
         &cfg,
         Method::CaAllPairs { c: 1 },
         4,
         &FaultPlan::kill(2, 1),
         &policy,
         &initial,
-    )
-    .expect("a c=1 kill degrades to a shrink, not a failure");
+    );
+    let got = out
+        .result
+        .expect("a c=1 kill degrades to a shrink, not a failure");
     // Degradation cascades through a bounded number of timeouts; far
     // below the blocking-collective deadline a deadlock would hit.
     assert!(
@@ -232,7 +300,8 @@ fn c1_kill_shrinks_onto_survivors_and_completes() {
     assert_eq!(got.shrinks, 1);
     assert_eq!(got.final_ranks, 3);
     assert_eq!(got.lost_particles, 6, "team 2 of 4 owned ids 12..18");
-    assert!(got.metrics.sum_counter("world_shrunk_total", None) >= 1);
+    let metrics = out.metrics.expect("fault-tolerant runs record");
+    assert!(metrics.sum_counter("world_shrunk_total", None) >= 1);
     // Recomposed reference: drop team 2's id-block from the initial set
     // and run the whole trajectory plain on the 3 survivors.
     let survivors: Vec<_> = initial
@@ -258,8 +327,16 @@ fn double_kill_same_column_shrinks_at_c2() {
     // p=8, c=2: team 1 spans ranks 1 (row 0) and 5 (row 1).
     let plan = FaultPlan::parse("kill:1@1,kill:5@1").unwrap();
     let policy = RetryPolicy::with_timeout_ms(500);
-    let got = run_distributed_chaos(&cfg, Method::CaAllPairs { c: 2 }, 8, &plan, &policy, &initial)
-        .expect("losing one of four columns must shrink, not fail");
+    let got = run_chaos(
+        &cfg,
+        Method::CaAllPairs { c: 2 },
+        8,
+        &plan,
+        &policy,
+        &initial,
+    )
+    .result
+    .expect("losing one of four columns must shrink, not fail");
     assert_eq!(got.shrinks, 1);
     assert_eq!(got.final_ranks, 6);
     assert_eq!(got.lost_particles, 6, "team 1 of 4 owned ids 6..12");
@@ -269,7 +346,10 @@ fn double_kill_same_column_shrinks_at_c2() {
         .cloned()
         .collect();
     let want = run_distributed(&cfg, Method::CaAllPairs { c: 1 }, 6, &survivors).particles;
-    assert_eq!(got.particles, want, "post-shrink world runs at c' = 1 on 6 ranks");
+    assert_eq!(
+        got.particles, want,
+        "post-shrink world runs at c' = 1 on 6 ranks"
+    );
 }
 
 /// The cutoff driver shrinks too: survivors re-derive the spatial
@@ -280,7 +360,7 @@ fn cutoff_c1_kill_shrinks_and_tracks_serial_reference() {
     let cfg = cutoff_cfg(3);
     let initial = init::uniform(40, &cfg.domain, 7);
     let policy = RetryPolicy::with_timeout_ms(400);
-    let got = run_distributed_chaos(
+    let got = run_chaos(
         &cfg,
         Method::Ca1dCutoff { c: 1 },
         4,
@@ -288,6 +368,7 @@ fn cutoff_c1_kill_shrinks_and_tracks_serial_reference() {
         &policy,
         &initial,
     )
+    .result
     .expect("a cutoff c=1 kill degrades to a shrink");
     assert_eq!(got.shrinks, 1);
     assert_eq!(got.final_ranks, 3);
@@ -328,8 +409,16 @@ fn persistent_faults_exhaust_retries() {
     // events fire on distinct attempts at the same step).
     let plan = FaultPlan::parse("drop:1@1,drop:1@1,drop:1@1").unwrap();
     let policy = RetryPolicy::fixed(300, 2);
-    let err = run_distributed_chaos(&cfg, Method::CaAllPairs { c: 2 }, 8, &plan, &policy, &initial)
-        .expect_err("three faults must exhaust a 2-retry budget");
+    let err = run_chaos(
+        &cfg,
+        Method::CaAllPairs { c: 2 },
+        8,
+        &plan,
+        &policy,
+        &initial,
+    )
+    .result
+    .expect_err("three faults must exhaust a 2-retry budget");
     assert_eq!(err, FaultError::RetriesExhausted { attempts: 3 });
 }
 
@@ -349,8 +438,16 @@ fn backoff_spreads_successive_retry_deadlines() {
         ..RetryPolicy::with_timeout_ms(200)
     };
     let start = Instant::now();
-    let got = run_distributed_chaos(&cfg, Method::CaAllPairs { c: 2 }, 8, &plan, &policy, &initial)
-        .expect("two drops recover within three retries");
+    let got = run_chaos(
+        &cfg,
+        Method::CaAllPairs { c: 2 },
+        8,
+        &plan,
+        &policy,
+        &initial,
+    )
+    .result
+    .expect("two drops recover within three retries");
     assert_eq!(got.max_attempts, 3);
     assert!(
         start.elapsed() >= Duration::from_millis(550),

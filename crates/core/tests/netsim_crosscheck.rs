@@ -8,10 +8,17 @@
 use ca_nbody::dist::{id_block_subset, spatial_subset_1d};
 use ca_nbody::schedule::{AllPairsParams, CutoffParams};
 use ca_nbody::{ca_all_pairs_forces, ca_cutoff_forces, GridComms, ProcGrid, Window1d};
-use nbody_comm::{run_ranks_traced, CommStats, Communicator, MetricsSnapshot, Phase};
+use nbody_comm::{
+    run_ranks_recorded, CommStats, Communicator, Lenses, MetricsSnapshot, Phase, Recorded,
+};
 use nbody_netsim::{hopper, simulate_traced, Trace, TraceKind};
 use nbody_physics::particle::PARTICLE_WIRE_BYTES;
 use nbody_physics::{init, Boundary, Counting, Cutoff, Domain, Particle};
+
+const RECORD: Lenses = Lenses {
+    record: true,
+    wire: false,
+};
 
 /// Force phases both sides attribute traffic to.
 const PHASES: [Phase; 4] = [Phase::Broadcast, Phase::Skew, Phase::Shift, Phase::Reduce];
@@ -85,7 +92,11 @@ fn all_pairs_live_counters_agree_exactly_with_simulated_trace() {
     let domain = Domain::unit();
     for (p, c, n) in [(4, 1, 16), (8, 2, 24), (16, 4, 33), (9, 3, 21)] {
         let grid = ProcGrid::new_all_pairs(p, c).unwrap();
-        let (stats, _, metrics, _) = run_ranks_traced(p, |world| {
+        let Recorded {
+            results: stats,
+            metrics,
+            ..
+        } = run_ranks_recorded(p, RECORD, |world| {
             let gc = GridComms::new(world, grid);
             let all = init::uniform(n, &domain, 5);
             let mut st = if gc.is_leader() {
@@ -116,7 +127,11 @@ fn cutoff_1d_live_counters_agree_exactly_with_simulated_trace() {
             .collect();
 
         let all_ref = &all;
-        let (stats, _, metrics, _) = run_ranks_traced(p, |world| {
+        let Recorded {
+            results: stats,
+            metrics,
+            ..
+        } = run_ranks_recorded(p, RECORD, |world| {
             let gc = GridComms::new(world, grid);
             let mut st = if gc.is_leader() {
                 spatial_subset_1d(all_ref, &domain, grid.teams(), gc.team())

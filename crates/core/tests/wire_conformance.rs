@@ -5,7 +5,7 @@
 
 use ca_nbody::recovery::RetryPolicy;
 use ca_nbody::sim::{
-    run_distributed, run_distributed_chaos_wired, run_distributed_wired, Method, SimConfig,
+    run, run_distributed, run_distributed_wired, Method, Recovery, RunOptions, SimConfig,
 };
 use ca_nbody::wire::{expected_schedule, WireScheduleSpec};
 use nbody_comm::{check_conformance, match_events, FaultNote, FaultPlan, Phase};
@@ -140,15 +140,22 @@ fn chaos_drops_are_fully_attributed_to_the_fault_plan() {
     let (n, p, method) = (24, 8, Method::CaAllPairs { c: 2 });
     let initial = init::uniform(n, &cfg.domain, 13);
     let plan = FaultPlan::parse("drop:3@1,drop:6@0").unwrap();
-    let (result, _, wire) = run_distributed_chaos_wired(
-        &cfg,
-        method,
-        p,
-        &plan,
-        &RetryPolicy::with_timeout_ms(2000),
-        &initial,
+    let recovery = Recovery {
+        plan: &plan,
+        policy: &RetryPolicy::with_timeout_ms(2000),
+        ckpt: None,
+        health: None,
+    };
+    let opts = RunOptions {
+        wire: true,
+        recovery: Some(recovery),
+        ..RunOptions::default()
+    };
+    let out = run(&cfg, method, p, &opts, &initial);
+    let (chaos, wire) = (
+        out.result.expect("drops are recoverable"),
+        out.wire.unwrap(),
     );
-    let chaos = result.expect("drops are recoverable");
     assert!(chaos.recovered, "the injected drops must trigger recovery");
 
     // The recovered trajectory is bit-identical to the fault-free one.

@@ -18,7 +18,7 @@
 //! * [`snapshot`] — the plain-data [`MetricsSnapshot`] an execution
 //!   returns: one [`RankMetrics`] per rank plus cross-rank aggregation.
 //! * [`export`] — Prometheus text exposition and JSON round-trips.
-//! * [`audit`] — the optimality audit: measured per-rank latency (S) and
+//! * [`audit`](mod@audit) — the optimality audit: measured per-rank latency (S) and
 //!   bandwidth (W) costs per phase against the Eq. 2/3 lower bounds
 //!   evaluated at the *measured* memory M, and against the Eq. 5 / §IV
 //!   predicted costs, with PASS/FAIL verdicts at configurable

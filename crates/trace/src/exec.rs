@@ -68,8 +68,8 @@ pub struct PhaseBreakdown {
 
 impl PhaseBreakdown {
     /// Sum of per-phase mean seconds. Because phase windows tile each
-    /// rank's timeline, this is within scheduler noise of [`wall_secs`]
-    /// (`PhaseBreakdown::wall_secs`).
+    /// rank's timeline, this is within scheduler noise of
+    /// [`wall_secs`](Self::wall_secs).
     pub fn phase_sum_secs(&self) -> f64 {
         self.phases.iter().map(|(_, d)| d.mean).sum()
     }
@@ -374,9 +374,9 @@ impl ExecutionTrace {
         out
     }
 
-    /// Parse a trace previously exported by [`to_chrome_json`]
-    /// (`ExecutionTrace::to_chrome_json`) or [`to_jsonl`]
-    /// (`ExecutionTrace::to_jsonl`), sniffing the format.
+    /// Parse a trace previously exported by
+    /// [`to_chrome_json`](Self::to_chrome_json) or
+    /// [`to_jsonl`](Self::to_jsonl), sniffing the format.
     pub fn parse(text: &str) -> Result<ExecutionTrace, String> {
         let trimmed = text.trim_start();
         if trimmed.starts_with('{') && trimmed.contains("\"traceEvents\"") {
@@ -387,7 +387,7 @@ impl ExecutionTrace {
     }
 
     /// Parse a Chrome `trace_event` JSON document produced by
-    /// [`to_chrome_json`] (`ExecutionTrace::to_chrome_json`).
+    /// [`to_chrome_json`](Self::to_chrome_json).
     pub fn from_chrome_json(text: &str) -> Result<ExecutionTrace, String> {
         let doc = Json::parse(text)?;
         let events = doc
@@ -462,8 +462,8 @@ impl ExecutionTrace {
         })
     }
 
-    /// Parse a JSON-lines document produced by [`to_jsonl`]
-    /// (`ExecutionTrace::to_jsonl`).
+    /// Parse a JSON-lines document produced by
+    /// [`to_jsonl`](Self::to_jsonl).
     pub fn from_jsonl(text: &str) -> Result<ExecutionTrace, String> {
         let mut spans = Vec::new();
         let mut max_rank = 0u32;

@@ -1,10 +1,11 @@
 //! An ASCII "movie" of a gravitational collapse, sampled from a
-//! distributed run — demonstrates `run_distributed_sampled` and the
-//! density diagnostics.
+//! distributed run — a trajectory run in chunks of `run_distributed`
+//! calls, each chunk's final state one frame — and the density
+//! diagnostics.
 //!
 //! Run with: `cargo run --release --example collapse_movie`
 
-use ca_nbody::{run_distributed_sampled, Method, SimConfig};
+use ca_nbody::{run_distributed, Method, SimConfig};
 use nbody_physics::{diagnostics, init, Boundary, Domain, Gravity, Particle, SemiImplicitEuler};
 
 const W: usize = 48;
@@ -47,7 +48,15 @@ fn main() {
     init::thermalize(&mut initial, 1e-5, 3);
 
     println!("two-cluster gravitational collapse — 8 ranks, CA all-pairs c = 2\n");
-    let frames = run_distributed_sampled(&cfg, Method::CaAllPairs { c: 2 }, 8, &initial, 30);
+    // A single-phase integrator carries nothing across steps, so the
+    // chunked trajectory is the unchunked one.
+    let chunk = SimConfig { steps: 30, ..cfg };
+    let mut frames: Vec<Vec<Particle>> = Vec::new();
+    let mut state = initial.clone();
+    for _ in 0..cfg.steps / chunk.steps {
+        state = run_distributed(&chunk, Method::CaAllPairs { c: 2 }, 8, &state).particles;
+        frames.push(state.clone());
+    }
     println!("t = 0:");
     print!("{}", render(&initial, &domain));
     for (i, frame) in frames.iter().enumerate() {

@@ -145,22 +145,22 @@
 
 use std::collections::HashMap;
 use std::process::ExitCode;
+use std::time::Duration;
 
 use ca_nbody::autotune::{autotune_all_pairs, autotune_cutoff_1d};
 use ca_nbody::cutoff::validate_cutoff;
 use ca_nbody::schedule::{count_ops, AllPairsParams};
-use ca_nbody::recovery::RetryPolicy;
+use ca_nbody::recovery::{FaultError, RetryPolicy};
 use ca_nbody::{
-    expected_schedule, run_distributed, run_distributed_chaos_wired, run_distributed_durable,
-    run_distributed_health, run_distributed_recorded, run_distributed_wired, run_serial,
-    CheckpointConfig, Method, ProcGrid, RunResult, SimConfig, Window, Window1d, WireScheduleSpec,
+    expected_schedule, run, run_distributed, run_serial, CheckpointConfig, Method, ProcGrid,
+    Recovery, RunOptions, RunResult, SimConfig, Window, Window1d, WireScheduleSpec,
 };
 use nbody_durable::{load_latest, RunFingerprint};
 use nbody_analyze::{
     analyze, check_regression, parse_history, render_conformance, render_csv, render_drift,
     render_health, render_json, render_regression, render_table, render_wire, RunSummary, Verdict,
 };
-use nbody_simhealth::{HealthBaseline, HealthConfig, HealthInjection, HealthReport, HealthSummary};
+use nbody_simhealth::{HealthBaseline, HealthConfig, HealthInjection, HealthSummary};
 use nbody_comm::{
     check_conformance, match_events, validate_env, FaultKind, FaultNote, FaultPlan, RunTimeline,
     WireLog,
@@ -259,6 +259,17 @@ fn get<T: std::str::FromStr>(opts: &HashMap<String, String>, key: &str, default:
     opts.get(key)
         .and_then(|v| v.parse().ok())
         .unwrap_or(default)
+}
+
+/// [`get`] with the environment variable `var` overriding `default`.
+fn flag_or_env<T: std::str::FromStr>(
+    opts: &HashMap<String, String>,
+    key: &str,
+    var: &str,
+    default: T,
+) -> T {
+    let env = std::env::var(var).ok().and_then(|v| v.trim().parse().ok());
+    get(opts, key, env.unwrap_or(default))
 }
 
 /// A force law selected at runtime; delegates to the concrete laws.
@@ -491,49 +502,57 @@ fn run_cmd(opts: &HashMap<String, String>, verify: bool) -> ExitCode {
         }
     };
 
+    // The fault-tolerant lenses run the CA recovery loop, which only the
+    // CA methods have.
+    let resume_dir = opts.get("resume").cloned();
+    let ckpt_dir = opts.get("checkpoint-dir").cloned().or_else(|| resume_dir.clone());
+    let fault_tolerant = faults.is_some() || ckpt_dir.is_some() || health_cfg.is_some();
+    if fault_tolerant
+        && !matches!(
+            method,
+            Method::CaAllPairs { .. } | Method::Ca1dCutoff { .. } | Method::Ca2dCutoff { .. }
+        )
+    {
+        eprintln!(
+            "each of --faults/--checkpoint-dir/--resume/--health requires a CA method \
+             (ca, ca-cutoff-1d, ca-cutoff-2d)"
+        );
+        return ExitCode::FAILURE;
+    }
+    // The health monitors and the checkpoint sink share one recovery
+    // loop, but that combination is untested, so it is rejected.
+    if health_cfg.is_some() && ckpt_dir.is_some() {
+        eprintln!("--health cannot be combined with --checkpoint-dir/--resume");
+        return ExitCode::FAILURE;
+    }
+
     // The adaptive retry policy: CLI flags beat env overrides beat
-    // defaults (env values were validated by `validate_env` at startup).
-    let env_u64 = |name: &str| {
-        std::env::var(name)
-            .ok()
-            .and_then(|v| v.trim().parse::<u64>().ok())
-    };
-    let env_f64 = |name: &str| {
-        std::env::var(name)
-            .ok()
-            .and_then(|v| v.trim().parse::<f64>().ok())
-    };
-    let timeout_ms: u64 = get(
+    // `RetryPolicy::default()` (env values were validated by
+    // `validate_env` at startup).
+    let defaults = RetryPolicy::default();
+    let millis = |d: Duration| d.as_millis() as u64;
+    let timeout_ms = flag_or_env(
         opts,
         "fault-timeout-ms",
-        env_u64("NBODY_RETRY_TIMEOUT_MS").unwrap_or(1000),
+        "NBODY_RETRY_TIMEOUT_MS",
+        millis(defaults.base_timeout),
     );
     let policy = RetryPolicy {
-        base_timeout: std::time::Duration::from_millis(timeout_ms),
-        peer_dead_timeout: std::time::Duration::from_millis(get(
-            opts,
-            "peer-dead-timeout-ms",
-            timeout_ms,
-        )),
-        backoff: get(
+        base_timeout: Duration::from_millis(timeout_ms),
+        peer_dead_timeout: Duration::from_millis(get(opts, "peer-dead-timeout-ms", timeout_ms)),
+        backoff: flag_or_env(
             opts,
             "retry-backoff",
-            env_f64("NBODY_RETRY_BACKOFF").unwrap_or(2.0),
+            "NBODY_RETRY_BACKOFF",
+            defaults.backoff,
         ),
-        jitter: get(
-            opts,
-            "retry-jitter",
-            env_f64("NBODY_RETRY_JITTER").unwrap_or(0.1),
-        ),
-        max_retries: get(
-            opts,
-            "max-retries",
-            env_u64("NBODY_RETRY_MAX").unwrap_or(3) as usize,
-        ),
-        budget: std::time::Duration::from_millis(get(
+        jitter: flag_or_env(opts, "retry-jitter", "NBODY_RETRY_JITTER", defaults.jitter),
+        max_retries: flag_or_env(opts, "max-retries", "NBODY_RETRY_MAX", defaults.max_retries),
+        budget: Duration::from_millis(flag_or_env(
             opts,
             "retry-budget-ms",
-            env_u64("NBODY_RETRY_BUDGET_MS").unwrap_or(60_000),
+            "NBODY_RETRY_BUDGET_MS",
+            millis(defaults.budget),
         )),
         seed: get(opts, "retry-seed", seed),
     };
@@ -541,25 +560,10 @@ fn run_cmd(opts: &HashMap<String, String>, verify: bool) -> ExitCode {
     // Durable checkpointing: --checkpoint-dir turns on the cadence sink,
     // --resume restores the newest bundle from a directory (and keeps
     // checkpointing into it unless --checkpoint-dir redirects).
-    let resume_dir = opts.get("resume").cloned();
-    let ckpt_dir = opts.get("checkpoint-dir").cloned().or_else(|| resume_dir.clone());
     let mut base_step: u64 = 0;
     let mut resumed_from: Option<u64> = None;
     let ckpt: Option<CheckpointConfig> = if let Some(dir) = &ckpt_dir {
-        if !matches!(
-            method,
-            Method::CaAllPairs { .. } | Method::Ca1dCutoff { .. } | Method::Ca2dCutoff { .. }
-        ) {
-            eprintln!(
-                "--checkpoint-dir/--resume require a CA method (ca, ca-cutoff-1d, ca-cutoff-2d)"
-            );
-            return ExitCode::FAILURE;
-        }
-        let every: usize = get(
-            opts,
-            "checkpoint-every",
-            env_u64("NBODY_CHECKPOINT_EVERY").unwrap_or(1) as usize,
-        );
+        let every: usize = flag_or_env(opts, "checkpoint-every", "NBODY_CHECKPOINT_EVERY", 1);
         if every == 0 {
             eprintln!("checkpoint-every must be a positive step count");
             return ExitCode::FAILURE;
@@ -633,153 +637,80 @@ fn run_cmd(opts: &HashMap<String, String>, verify: bool) -> ExitCode {
     };
 
     println!("{method:?} on {p} ranks: n={n}, steps={steps}, dt={dt}, law={law_name}");
+    let plan = faults.clone().unwrap_or_else(FaultPlan::empty);
+    let recovery = fault_tolerant.then_some(Recovery {
+        plan: &plan,
+        policy: &policy,
+        ckpt: ckpt.as_ref(),
+        health: health_cfg.as_ref(),
+    });
+    let run_opts = RunOptions {
+        record: tracing,
+        wire: wire_path.is_some(),
+        recovery,
+    };
     let start = std::time::Instant::now();
-    let mut health_report: Option<HealthReport> = None;
-    let (result, trace, metrics, chaos_info, timeline, wire) = if faults.is_some()
-        || ckpt.is_some()
-        || health_cfg.is_some()
-    {
-        if !matches!(
-            method,
-            Method::CaAllPairs { .. } | Method::Ca1dCutoff { .. } | Method::Ca2dCutoff { .. }
-        ) {
-            eprintln!(
-                "each of --faults/--checkpoint-dir/--health requires a CA method \
-                 (ca, ca-cutoff-1d, ca-cutoff-2d)"
-            );
+    let out = run(&cfg, method, p, &run_opts, &initial);
+    let (trace, timeline, wire) = (out.trace, out.timeline, out.wire);
+    let metrics = out.metrics.unwrap_or_else(MetricsSnapshot::empty);
+    let result = match out.result {
+        Ok(result) => result,
+        Err(e) => {
+            if health_cfg.is_some() && faults.is_none() {
+                eprintln!("health-instrumented run failed: {e}");
+            } else {
+                eprintln!("fault-injected run failed: {e}");
+            }
+            // The flight recorder was on the whole time: dump the
+            // postmortem bundle so the failure can be diagnosed.
+            if let (Some(path), Some(timeline)) = (&timeline_path, timeline) {
+                let bundle = if timeline.is_postmortem() {
+                    timeline
+                } else {
+                    timeline.with_failure(&e.to_string())
+                };
+                match std::fs::write(path, bundle.to_json()) {
+                    Ok(()) => eprintln!("postmortem bundle written to {path}"),
+                    Err(we) => eprintln!("cannot write postmortem to {path}: {we}"),
+                }
+            }
+            // The wire log survives the failure too: what actually
+            // crossed the wire is exactly what a postmortem needs.
+            if let (Some(path), Some(w)) = (&wire_path, &wire) {
+                match std::fs::write(path, w.to_json()) {
+                    Ok(()) => eprintln!("wire-probe log written to {path}"),
+                    Err(we) => eprintln!("cannot write wire log to {path}: {we}"),
+                }
+            }
             return ExitCode::FAILURE;
         }
-        let plan = faults.clone().unwrap_or_else(FaultPlan::empty);
-        // Wire probes are opt-in: the probed chaos runner records every
-        // protocol message *and* injected fault as first-class events.
-        // (The probed runner has no checkpoint sink, so checkpointing
-        // takes precedence when both are requested.)
-        let (res, timeline, wire) = if let Some(h) = &health_cfg {
-            // The health runner has no checkpoint sink: the durable lens
-            // and the health lens instrument the same recovery loop, so
-            // combining them is rejected rather than silently degraded.
-            if ckpt.is_some() {
-                eprintln!("--health cannot be combined with --checkpoint-dir/--resume");
-                return ExitCode::FAILURE;
-            }
-            if wire_path.is_some() {
-                eprintln!("note: --wire-probe is ignored on health runs");
-            }
-            let (res, timeline) =
-                run_distributed_health(&cfg, method, p, &plan, &policy, h, &initial);
-            (
-                res.map(|(r, hr)| {
-                    health_report = Some(hr);
-                    r
-                }),
-                timeline,
-                None,
-            )
-        } else if wire_path.is_some() && ckpt.is_none() {
-            let (res, timeline, wire) =
-                run_distributed_chaos_wired(&cfg, method, p, &plan, &policy, &initial);
-            (res, timeline, Some(wire))
-        } else {
-            if wire_path.is_some() {
-                eprintln!("note: --wire-probe is ignored on checkpointed runs");
-            }
-            let (res, timeline) =
-                run_distributed_durable(&cfg, method, p, &plan, &policy, ckpt.as_ref(), &initial);
-            (res, timeline, None)
-        };
-        match res {
-            Ok(res) => {
-                if let Some(plan) = &faults {
-                    println!(
-                        "  faults [{}]: max attempts {}, recovered: {}",
-                        plan.spec(),
-                        res.max_attempts,
-                        res.recovered
-                    );
-                }
-                if res.shrinks > 0 {
-                    println!(
-                        "  degraded: world shrank {}x onto {} ranks, {} particles lost",
-                        res.shrinks, res.final_ranks, res.lost_particles
-                    );
-                }
-                if let Some(hr) = &health_report {
-                    println!(
-                        "  health: {} steps checked, max |ΔE/E₀| {:.3e}, max |p| {:.3e}, \
-                         {} sentinel event(s), {} fingerprint mismatch(es)",
-                        hr.steps_checked,
-                        hr.max_rel_energy_drift,
-                        hr.max_momentum_norm,
-                        hr.sentinel_events,
-                        hr.fingerprint_mismatches
-                    );
-                }
-                (
-                    RunResult {
-                        particles: res.particles,
-                        stats: res.stats,
-                    },
-                    Some(res.trace),
-                    res.metrics,
-                    Some((
-                        res.max_attempts,
-                        res.recovered,
-                        res.shrinks,
-                        res.lost_particles,
-                        res.final_ranks,
-                    )),
-                    Some(timeline),
-                    wire,
-                )
-            }
-            Err(e) => {
-                if health_cfg.is_some() && faults.is_none() {
-                    eprintln!("health-instrumented run failed: {e}");
-                } else {
-                    eprintln!("fault-injected run failed: {e}");
-                }
-                // The flight recorder was on the whole time: dump the
-                // postmortem bundle so the failure can be diagnosed.
-                if let Some(path) = &timeline_path {
-                    let bundle = if timeline.is_postmortem() {
-                        timeline
-                    } else {
-                        timeline.with_failure(&e.to_string())
-                    };
-                    match std::fs::write(path, bundle.to_json()) {
-                        Ok(()) => eprintln!("postmortem bundle written to {path}"),
-                        Err(we) => eprintln!("cannot write postmortem to {path}: {we}"),
-                    }
-                }
-                // The wire log survives the failure too: what actually
-                // crossed the wire is exactly what a postmortem needs.
-                if let (Some(path), Some(w)) = (&wire_path, &wire) {
-                    match std::fs::write(path, w.to_json()) {
-                        Ok(()) => eprintln!("wire-probe log written to {path}"),
-                        Err(we) => eprintln!("cannot write wire log to {path}: {we}"),
-                    }
-                }
-                return ExitCode::FAILURE;
-            }
-        }
-    } else if wire_path.is_some() {
-        let (result, trace, metrics, timeline, wire) =
-            run_distributed_wired(&cfg, method, p, &initial);
-        (result, Some(trace), metrics, None, Some(timeline), Some(wire))
-    } else if tracing {
-        let (result, trace, metrics, timeline) =
-            run_distributed_recorded(&cfg, method, p, &initial);
-        (result, Some(trace), metrics, None, Some(timeline), None)
-    } else {
-        (
-            run_distributed(&cfg, method, p, &initial),
-            None,
-            MetricsSnapshot::empty(),
-            None,
-            None,
-            None,
-        )
     };
+    if let Some(plan) = &faults {
+        println!(
+            "  faults [{}]: max attempts {}, recovered: {}",
+            plan.spec(),
+            result.max_attempts,
+            result.recovered
+        );
+    }
+    if result.shrinks > 0 {
+        println!(
+            "  degraded: world shrank {}x onto {} ranks, {} particles lost",
+            result.shrinks, result.final_ranks, result.lost_particles
+        );
+    }
+    let health_report = result.health;
+    if let Some(hr) = &health_report {
+        println!(
+            "  health: {} steps checked, max |ΔE/E₀| {:.3e}, max |p| {:.3e}, \
+             {} sentinel event(s), {} fingerprint mismatch(es)",
+            hr.steps_checked,
+            hr.max_rel_energy_drift,
+            hr.max_momentum_norm,
+            hr.sentinel_events,
+            hr.fingerprint_mismatches
+        );
+    }
     let elapsed = start.elapsed();
     let kinetic = diagnostics::total_kinetic_energy(&result.particles);
     println!(
@@ -861,7 +792,7 @@ fn run_cmd(opts: &HashMap<String, String>, verify: bool) -> ExitCode {
     }
 
     let mut max_err = None;
-    let degraded = chaos_info.is_some_and(|(_, _, shrinks, lost, _)| shrinks > 0 || lost > 0);
+    let degraded = result.shrinks > 0 || result.lost_particles > 0;
     if verify && degraded {
         // A shrunken run dropped the dead columns' particles mid-flight;
         // the full-world serial trajectory is no longer the reference.
@@ -980,12 +911,16 @@ fn run_cmd(opts: &HashMap<String, String>, verify: bool) -> ExitCode {
             Json::Num(metrics.sum_counter("compute_flops", None) as f64),
         ));
     }
-    if let Some((attempts, recovered, shrinks, lost, final_ranks)) = chaos_info {
-        summary.push(("max_attempts".to_string(), Json::Num(attempts as f64)));
-        summary.push(("recovered".to_string(), Json::Bool(recovered)));
-        summary.push(("shrinks".to_string(), Json::Num(shrinks as f64)));
-        summary.push(("lost_particles".to_string(), Json::Num(lost as f64)));
-        summary.push(("final_ranks".to_string(), Json::Num(final_ranks as f64)));
+    if fault_tolerant {
+        let r = &result;
+        summary.push(("max_attempts".to_string(), Json::Num(r.max_attempts as f64)));
+        summary.push(("recovered".to_string(), Json::Bool(r.recovered)));
+        summary.push(("shrinks".to_string(), Json::Num(r.shrinks as f64)));
+        summary.push((
+            "lost_particles".to_string(),
+            Json::Num(r.lost_particles as f64),
+        ));
+        summary.push(("final_ranks".to_string(), Json::Num(r.final_ranks as f64)));
         if let Some(plan) = &faults {
             summary.push(("faults".to_string(), Json::Str(plan.spec())));
             for key in [
@@ -1298,8 +1233,14 @@ fn audit_cmd(opts: &HashMap<String, String>) -> ExitCode {
         // With --wire the same audited run also records message-level
         // probes, so the table can compare observed traffic against the
         // schedule's per-phase predictions.
-        let metrics = if wire_on {
-            let (_, _, metrics, _, log) = run_distributed_wired(&cfg, method, p, &initial);
+        let audited = RunOptions {
+            record: true,
+            wire: wire_on,
+            recovery: None,
+        };
+        let out = run(&cfg, method, p, &audited, &initial);
+        let metrics = out.metrics.expect("audited runs record");
+        if let Some(log) = &out.wire {
             let spec = WireScheduleSpec {
                 method,
                 n,
@@ -1311,7 +1252,7 @@ fn audit_cmd(opts: &HashMap<String, String>) -> ExitCode {
             };
             match expected_schedule(&spec) {
                 Ok(expected) => {
-                    let rows = wire_phase_counts(&expected, &log);
+                    let rows = wire_phase_counts(&expected, log);
                     wire_predicted += rows.iter().map(|r| r.predicted).sum::<u64>();
                     wire_observed += rows.iter().map(|r| r.observed).sum::<u64>();
                     wire_sections.push((c, wire_phase_table(&rows)));
@@ -1321,11 +1262,7 @@ fn audit_cmd(opts: &HashMap<String, String>) -> ExitCode {
                     return ExitCode::FAILURE;
                 }
             }
-            metrics
-        } else {
-            let (_, _, metrics, _) = run_distributed_recorded(&cfg, method, p, &initial);
-            metrics
-        };
+        }
         // The same instrumented run feeds both sides of the audit: its
         // comm counters go to the optimality check, its compute counters
         // to the roofline.
@@ -1562,7 +1499,7 @@ fn calibrate_cmd(opts: &HashMap<String, String>) -> ExitCode {
 #[allow(clippy::too_many_arguments)]
 fn check_shrunk(
     label: &str,
-    res: &ca_nbody::ChaosRunResult,
+    res: &RunResult,
     cfg: &SimConfig<AnyLaw, SemiImplicitEuler>,
     method: Method,
     initial: &[Particle],
@@ -1632,6 +1569,72 @@ fn check_shrunk(
         None => failures.push(format!(
             "{label}: no valid shrunken grid exists for the reference run"
         )),
+    }
+}
+
+/// The fault-tolerant runs of a chaos or soak campaign: counted, their
+/// metrics summed rank-wise (fault counters sum, memory HWMs take the max),
+/// and the flight-recorder bundle of each run that dies dumped into the
+/// `--postmortem` directory, one JSON file per failed schedule.
+struct Campaign<'a> {
+    cfg: &'a SimConfig<AnyLaw, SemiImplicitEuler>,
+    p: usize,
+    policy: RetryPolicy,
+    initial: &'a [Particle],
+    runs: usize,
+    metrics: MetricsSnapshot,
+    postmortem_dir: Option<String>,
+    bundles: Vec<String>,
+}
+
+impl Campaign<'_> {
+    /// Run `method` under `plan`; a run that dies leaves its postmortem
+    /// bundle as `name`.
+    fn run(
+        &mut self,
+        method: Method,
+        plan: &FaultPlan,
+        name: &str,
+    ) -> Result<(RunResult, MetricsSnapshot), FaultError> {
+        self.runs += 1;
+        let recovery = Recovery {
+            plan,
+            policy: &self.policy,
+            ckpt: None,
+            health: None,
+        };
+        let opts = RunOptions {
+            recovery: Some(recovery),
+            ..RunOptions::default()
+        };
+        let out = run(self.cfg, method, self.p, &opts, self.initial);
+        let recorded = "fault-tolerant runs always record";
+        let (metrics, timeline) = (out.metrics.expect(recorded), out.timeline.expect(recorded));
+        match out.result {
+            Ok(res) => {
+                self.metrics.absorb(&metrics);
+                Ok((res, metrics))
+            }
+            Err(e) => {
+                self.dump_postmortem(name, &timeline.with_failure(&e.to_string()));
+                Err(e)
+            }
+        }
+    }
+
+    fn dump_postmortem(&mut self, name: &str, tl: &RunTimeline) {
+        let Some(dir) = &self.postmortem_dir else { return };
+        let write = std::fs::create_dir_all(dir).and_then(|()| {
+            let path = format!("{dir}/{name}.json");
+            std::fs::write(&path, tl.to_json()).map(|()| path)
+        });
+        match write {
+            Ok(path) => {
+                println!("  postmortem bundle written to {path}");
+                self.bundles.push(name.to_string());
+            }
+            Err(e) => eprintln!("  cannot write postmortem {name} to {dir}: {e}"),
+        }
     }
 }
 
@@ -1745,36 +1748,19 @@ fn chaos_cmd(opts: &HashMap<String, String>) -> ExitCode {
     let want = run_distributed(&cfg, method, p, &initial).particles;
 
     let mut failures: Vec<String> = Vec::new();
-    let mut runs = 0usize;
-    // With --metrics the whole sweep's counters accumulate rank-wise into
-    // one snapshot (fault counters sum, memory HWMs take the max), so one
-    // file answers "what did the entire chaos campaign cost".
+    // With --metrics the whole sweep's summed counters answer "what did
+    // the entire chaos campaign cost".
     let metrics_path = opts.get("metrics").cloned();
-    let mut sweep_metrics = MetricsSnapshot::empty();
-
-    // With --postmortem every run that dies dumps its flight-recorder
-    // bundle into the directory, one JSON file per failed schedule.
-    let postmortem_dir = opts.get("postmortem").cloned();
-    let mut postmortem_bundles: Vec<String> = Vec::new();
-    fn dump_postmortem(
-        dir: &Option<String>,
-        name: &str,
-        tl: &RunTimeline,
-        bundles: &mut Vec<String>,
-    ) {
-        let Some(dir) = dir else { return };
-        let write = std::fs::create_dir_all(dir).and_then(|()| {
-            let path = format!("{dir}/{name}.json");
-            std::fs::write(&path, tl.to_json()).map(|()| path)
-        });
-        match write {
-            Ok(path) => {
-                println!("  postmortem bundle written to {path}");
-                bundles.push(name.to_string());
-            }
-            Err(e) => eprintln!("  cannot write postmortem {name} to {dir}: {e}"),
-        }
-    }
+    let mut campaign = Campaign {
+        cfg: &cfg,
+        p,
+        policy,
+        initial: &initial,
+        runs: 0,
+        metrics: MetricsSnapshot::empty(),
+        postmortem_dir: opts.get("postmortem").cloned(),
+        bundles: Vec::new(),
+    };
 
     // Benign schedules: delays and duplicates must be absorbed without
     // even triggering recovery.
@@ -1786,11 +1772,8 @@ fn chaos_cmd(opts: &HashMap<String, String>) -> ExitCode {
             4,
             &[FaultKind::Delay, FaultKind::Duplicate],
         );
-        runs += 1;
-        let (res, tl) = run_distributed_durable(&cfg, method, p, &plan, &policy, None, &initial);
-        match res {
-            Ok(res) => {
-                sweep_metrics.absorb(&res.metrics);
+        match campaign.run(method, &plan, &format!("benign_{salt}")) {
+            Ok((res, _)) => {
                 if res.particles != want {
                     failures.push(format!("benign [{}]: forces diverged", plan.spec()));
                 }
@@ -1798,15 +1781,7 @@ fn chaos_cmd(opts: &HashMap<String, String>) -> ExitCode {
                     failures.push(format!("benign [{}]: spurious recovery", plan.spec()));
                 }
             }
-            Err(e) => {
-                failures.push(format!("benign [{}]: {e}", plan.spec()));
-                dump_postmortem(
-                    &postmortem_dir,
-                    &format!("benign_{salt}"),
-                    &tl.with_failure(&e.to_string()),
-                    &mut postmortem_bundles,
-                );
-            }
+            Err(e) => failures.push(format!("benign [{}]: {e}", plan.spec())),
         }
     }
 
@@ -1818,11 +1793,8 @@ fn chaos_cmd(opts: &HashMap<String, String>) -> ExitCode {
     for step in 0..=pipeline_steps {
         for rank in 0..p {
             let plan = FaultPlan::kill(rank, step);
-            runs += 1;
-            let (res, tl) = run_distributed_durable(&cfg, method, p, &plan, &policy, None, &initial);
-            match res {
-                Ok(res) => {
-                    sweep_metrics.absorb(&res.metrics);
+            match campaign.run(method, &plan, &format!("kill_{rank}_at_{step}")) {
+                Ok((res, metrics)) => {
                     if res.particles != want {
                         failures.push(format!(
                             "kill:{rank}@{step}: forces diverged from fault-free run"
@@ -1830,25 +1802,17 @@ fn chaos_cmd(opts: &HashMap<String, String>) -> ExitCode {
                     }
                     // In the cutoff pipeline short rows never reach high
                     // steps, so some scheduled kills legitimately don't fire.
-                    if res.metrics.sum_counter("fault_injected_kill", None) > 0 {
+                    if metrics.sum_counter("fault_injected_kill", None) > 0 {
                         kills_fired += 1;
                         if !res.recovered {
                             failures.push(format!("kill:{rank}@{step}: fired but not recovered"));
                         }
                         worst_attempts = worst_attempts.max(res.max_attempts);
-                        let bytes = res.metrics.sum_counter("recovery_bytes_total", None) as f64;
+                        let bytes = metrics.sum_counter("recovery_bytes_total", None) as f64;
                         worst_bytes_factor = worst_bytes_factor.max(bytes / nominal_block_bytes);
                     }
                 }
-                Err(e) => {
-                    failures.push(format!("kill:{rank}@{step}: {e}"));
-                    dump_postmortem(
-                        &postmortem_dir,
-                        &format!("kill_{rank}_at_{step}"),
-                        &tl.with_failure(&e.to_string()),
-                        &mut postmortem_bundles,
-                    );
-                }
+                Err(e) => failures.push(format!("kill:{rank}@{step}: {e}")),
             }
         }
     }
@@ -1869,16 +1833,13 @@ fn chaos_cmd(opts: &HashMap<String, String>) -> ExitCode {
             .collect::<Vec<_>>()
             .join(",");
         let plan = FaultPlan::parse(&spec).expect("generated kill spec parses");
-        runs += 1;
-        let (res, tl) = run_distributed_durable(&cfg, method, p, &plan, &policy, None, &initial);
-        match res {
-            Ok(res) => {
-                sweep_metrics.absorb(&res.metrics);
+        match campaign.run(method, &plan, "multi_kill") {
+            Ok((res, metrics)) => {
                 if res.particles != want {
                     failures
                         .push(format!("multi-kill [{spec}]: forces diverged from fault-free run"));
                 }
-                let fired = res.metrics.sum_counter("fault_injected_kill", None);
+                let fired = metrics.sum_counter("fault_injected_kill", None);
                 if fired > 0 && !res.recovered {
                     failures.push(format!("multi-kill [{spec}]: fired but not recovered"));
                 }
@@ -1887,15 +1848,7 @@ fn chaos_cmd(opts: &HashMap<String, String>) -> ExitCode {
                 }
                 worst_attempts = worst_attempts.max(res.max_attempts);
             }
-            Err(e) => {
-                failures.push(format!("multi-kill [{spec}]: {e}"));
-                dump_postmortem(
-                    &postmortem_dir,
-                    "multi_kill",
-                    &tl.with_failure(&e.to_string()),
-                    &mut postmortem_bundles,
-                );
-            }
+            Err(e) => failures.push(format!("multi-kill [{spec}]: {e}")),
         }
     }
 
@@ -1913,11 +1866,8 @@ fn chaos_cmd(opts: &HashMap<String, String>) -> ExitCode {
             .collect::<Vec<_>>()
             .join(",");
         let plan = FaultPlan::parse(&spec).expect("generated kill spec parses");
-        runs += 1;
-        let (res, tl) = run_distributed_durable(&cfg, method, p, &plan, &policy, None, &initial);
-        match res {
-            Ok(res) => {
-                sweep_metrics.absorb(&res.metrics);
+        match campaign.run(method, &plan, "double_kill_same_column") {
+            Ok((res, _)) => {
                 shrinks_observed += res.shrinks;
                 check_shrunk(
                     &format!("double-kill [{spec}]"),
@@ -1931,15 +1881,7 @@ fn chaos_cmd(opts: &HashMap<String, String>) -> ExitCode {
                     &mut failures,
                 );
             }
-            Err(e) => {
-                failures.push(format!("double-kill [{spec}]: {e}"));
-                dump_postmortem(
-                    &postmortem_dir,
-                    "double_kill_same_column",
-                    &tl.with_failure(&e.to_string()),
-                    &mut postmortem_bundles,
-                );
-            }
+            Err(e) => failures.push(format!("double-kill [{spec}]: {e}")),
         }
     }
 
@@ -1951,12 +1893,8 @@ fn chaos_cmd(opts: &HashMap<String, String>) -> ExitCode {
         Method::Ca1dCutoff { .. } => Method::Ca1dCutoff { c: 1 },
         _ => unreachable!("chaos supports only CA methods"),
     };
-    runs += 1;
-    let (res, tl) =
-        run_distributed_durable(&cfg, m1, p, &FaultPlan::kill(p / 2, 0), &policy, None, &initial);
-    match res {
-        Ok(res) => {
-            sweep_metrics.absorb(&res.metrics);
+    match campaign.run(m1, &FaultPlan::kill(p / 2, 0), "c1_kill") {
+        Ok((res, _)) => {
             shrinks_observed += res.shrinks;
             check_shrunk(
                 "c=1 kill",
@@ -1970,15 +1908,7 @@ fn chaos_cmd(opts: &HashMap<String, String>) -> ExitCode {
                 &mut failures,
             );
         }
-        Err(e) => {
-            failures.push(format!("c=1 kill failed instead of shrinking: {e}"));
-            dump_postmortem(
-                &postmortem_dir,
-                "c1_kill",
-                &tl.with_failure(&e.to_string()),
-                &mut postmortem_bundles,
-            );
-        }
+        Err(e) => failures.push(format!("c=1 kill failed instead of shrinking: {e}")),
     }
 
     // Total loss: every rank killed in the same step leaves nothing to
@@ -1991,23 +1921,20 @@ fn chaos_cmd(opts: &HashMap<String, String>) -> ExitCode {
             .collect::<Vec<_>>()
             .join(",");
         let plan = FaultPlan::parse(&spec).expect("generated kill spec parses");
-        runs += 1;
-        let (res, tl) = run_distributed_durable(&cfg, method, p, &plan, &policy, None, &initial);
-        match res {
+        match campaign.run(method, &plan, "total_loss_unrecoverable") {
             Ok(_) => {
                 failures.push("total loss must be unrecoverable, but the run succeeded".into())
             }
-            Err(e) => {
-                println!("  total-loss kill failed as required: {e}");
-                dump_postmortem(
-                    &postmortem_dir,
-                    "total_loss_unrecoverable",
-                    &tl.with_failure(&e.to_string()),
-                    &mut postmortem_bundles,
-                );
-            }
+            Err(e) => println!("  total-loss kill failed as required: {e}"),
         }
     }
+    let Campaign {
+        runs,
+        metrics: sweep_metrics,
+        postmortem_dir,
+        bundles: postmortem_bundles,
+        ..
+    } = campaign;
 
     let elapsed = start.elapsed();
     let attempts_ok = (worst_attempts as f64) <= attempts_ceiling;
@@ -2173,29 +2100,32 @@ fn soak_cmd(opts: &HashMap<String, String>) -> ExitCode {
     // Unlike the deterministic `chaos` sweep, the soak exercises the
     // adaptive policy: exponential backoff with seeded jitter.
     let policy = RetryPolicy {
-        base_timeout: std::time::Duration::from_millis(timeout_ms),
-        peer_dead_timeout: std::time::Duration::from_millis(timeout_ms),
-        backoff: 2.0,
-        jitter: 0.1,
-        max_retries: 3,
-        budget: std::time::Duration::from_secs(30),
+        budget: Duration::from_secs(30),
         seed,
+        ..RetryPolicy::with_timeout_ms(timeout_ms)
     };
     let want = run_distributed(&cfg, method, p, &initial).particles;
-    let postmortem_dir = opts.get("postmortem").cloned();
     println!(
         "chaos soak: {method_name} n={n} p={p} c={c} steps={steps}, \
          {seconds:.0}s budget, {events} events/plan, base seed {seed}"
     );
 
     let start = std::time::Instant::now();
-    let mut runs = 0usize;
+    let mut campaign = Campaign {
+        cfg: &cfg,
+        p,
+        policy,
+        initial: &initial,
+        runs: 0,
+        metrics: MetricsSnapshot::empty(),
+        postmortem_dir: opts.get("postmortem").cloned(),
+        bundles: Vec::new(),
+    };
     let mut shrinks = 0usize;
     let mut recoveries = 0usize;
     let mut failures: Vec<String> = Vec::new();
-    let mut postmortem_bundles: Vec<String> = Vec::new();
     loop {
-        let plan_seed = seed.wrapping_add(runs as u64);
+        let plan_seed = seed.wrapping_add(campaign.runs as u64);
         let plan = FaultPlan::seeded(
             plan_seed,
             p,
@@ -2208,10 +2138,8 @@ fn soak_cmd(opts: &HashMap<String, String>) -> ExitCode {
                 FaultKind::Delay,
             ],
         );
-        runs += 1;
-        let (res, tl) = run_distributed_durable(&cfg, method, p, &plan, &policy, None, &initial);
-        match res {
-            Ok(res) => {
+        match campaign.run(method, &plan, &format!("soak_seed_{plan_seed}")) {
+            Ok((res, _)) => {
                 if res.recovered {
                     recoveries += 1;
                 }
@@ -2242,30 +2170,19 @@ fn soak_cmd(opts: &HashMap<String, String>) -> ExitCode {
                     ));
                 }
             }
-            Err(e) => {
-                failures.push(format!("seed {plan_seed} [{}]: {e}", plan.spec()));
-                if let Some(dir) = &postmortem_dir {
-                    let name = format!("soak_seed_{plan_seed}");
-                    let write = std::fs::create_dir_all(dir).and_then(|()| {
-                        let path = format!("{dir}/{name}.json");
-                        std::fs::write(&path, tl.with_failure(&e.to_string()).to_json())
-                            .map(|()| path)
-                    });
-                    match write {
-                        Ok(path) => {
-                            println!("  postmortem bundle written to {path}");
-                            postmortem_bundles.push(name);
-                        }
-                        Err(we) => eprintln!("  cannot write postmortem {name} to {dir}: {we}"),
-                    }
-                }
-            }
+            Err(e) => failures.push(format!("seed {plan_seed} [{}]: {e}", plan.spec())),
         }
         // Enough evidence to diagnose — don't burn the rest of the budget.
         if failures.len() >= 5 || start.elapsed().as_secs_f64() >= seconds {
             break;
         }
     }
+    let Campaign {
+        runs,
+        postmortem_dir,
+        bundles: postmortem_bundles,
+        ..
+    } = campaign;
 
     let elapsed = start.elapsed();
     let pass = failures.is_empty();

@@ -1610,6 +1610,29 @@ fn wire_probe_flag_writes_parseable_log_and_conformance_passes() {
     assert!(stdout.contains("wire probes:"), "{stdout}");
     assert!(stdout.contains("matched pairs"), "{stdout}");
     assert!(stdout.contains("mean us"), "latency columns present: {stdout}");
+
+    // The wire lens rides along on the fault-tolerant runs too: a health
+    // run and a checkpointed run each write the log, and their protocol
+    // traffic conforms to the same schedule.
+    let ckpt = dir.join("ckpt").display().to_string();
+    for lens in ["--health".to_string(), format!("--checkpoint-dir={ckpt}")] {
+        std::fs::remove_file(&wire).unwrap();
+        let out = cli()
+            .args(["run", "n=48", "p=8", "c=2", "steps=3", &lens])
+            .arg(format!("--wire-probe={wire}"))
+            .output()
+            .expect("launch");
+        let stdout = String::from_utf8_lossy(&out.stdout);
+        assert!(out.status.success(), "{lens}: {stdout}");
+        assert!(stdout.contains("wire probes written to"), "{lens}: {stdout}");
+        let out = cli()
+            .args(["conformance", &wire, "n=48", "p=8", "c=2", "steps=3"])
+            .output()
+            .expect("launch");
+        let stdout = String::from_utf8_lossy(&out.stdout);
+        assert!(out.status.success(), "{lens}: {stdout}");
+        assert!(stdout.contains("verdict: PASS"), "{lens}: {stdout}");
+    }
     std::fs::remove_dir_all(&dir).ok();
 }
 
